@@ -260,5 +260,18 @@ case "$REPLY" in
     exit 1
     ;;
 esac
+# Repeated requests for one manifest must not pay its decode each time:
+# 200 identical manifest+entry requests through one `serve --stdin` must
+# all answer ok within 5 s.
+REQUEST=$(printf '{"id":"rep","manifest":"%s","entry":"%s"}' \
+    "$INGEST_OUT/manifest.json" "$ENTRY")
+START_NS=$(date +%s%N)
+OK_COUNT=$(for _ in $(seq 200); do printf '%s\n' "$REQUEST"; done |
+    "$BIN" serve --stdin | grep -c '"status":"ok"' || true)
+ELAPSED_MS=$((($(date +%s%N) - START_NS) / 1000000))
+if [ "$OK_COUNT" -ne 200 ] || [ "$ELAPSED_MS" -gt 5000 ]; then
+    echo "FAIL: $OK_COUNT of 200 repeated manifest requests answered ok in $ELAPSED_MS ms (want all 200 within 5000 ms)" >&2
+    exit 1
+fi
 
 echo "CI green."

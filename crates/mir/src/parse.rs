@@ -146,28 +146,23 @@ fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
             });
             continue;
         }
-        if i + 1 < bytes.len() {
-            let two = &src[i..i + 2];
-            if let Some(&p) = PUNCTS2.iter().find(|&&p| p == two) {
-                tokens.push(Token {
-                    kind: TokenKind::Punct(p),
-                    span,
-                });
-                i += 2;
-                col += 2;
-                continue;
-            }
-        }
-        let one = &src[i..i + 1];
-        if let Some(&p) = PUNCTS1.iter().find(|&&p| p == one) {
+        // Byte comparison: slicing `src` here could split a multibyte char.
+        if let Some(&p) = PUNCTS2
+            .iter()
+            .chain(PUNCTS1)
+            .find(|p| bytes[i..].starts_with(p.as_bytes()))
+        {
             tokens.push(Token {
                 kind: TokenKind::Punct(p),
                 span,
             });
-            i += 1;
-            col += 1;
+            i += p.len();
+            col += p.len() as u32;
             continue;
         }
+        // Every token and skip above ends on an ASCII byte, so `i` is on a
+        // char boundary; report the whole char, not its first byte.
+        let c = src[i..].chars().next().expect("i < src.len()");
         return Err(ParseError {
             span,
             message: format!("unexpected character `{c}`"),
@@ -1030,6 +1025,13 @@ fn f(_1 as p: *mut *mut int) -> unit {
                 "fn f() -> unit { bb0: { _0 = const @; } }",
                 "unexpected character",
             ),
+            // Non-ASCII chars are reported whole, never split mid-char.
+            ("é", "unexpected character `é`"),
+            (
+                "fn f() -> unit { bb0: { _0 = const €; } }",
+                "unexpected character `€`",
+            ),
+            ("fn f() -😀", "unexpected character `😀`"),
             (
                 "fn f() -> unit { bb0: { _0 = const 99999999999999999999; } }",
                 "out of range",

@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use rstudy_core::config::DetectorConfig;
 use rstudy_core::suite::DetectorSuite;
+use rstudy_ingest::Manifest;
 use rstudy_mir::parse::parse_program;
 use rstudy_mir::validate::validate_program;
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
@@ -314,6 +315,15 @@ struct ServerState {
     /// rouse a loop blocked in `epoll_wait`.
     #[cfg(target_os = "linux")]
     waker: std::sync::Mutex<Option<Arc<crate::event::EventFd>>>,
+    /// The last manifest a `manifest`+`entry` request decoded.
+    manifest_memo: std::sync::Mutex<Option<ManifestMemo>>,
+}
+
+/// A decoded manifest with the path and exact file text it came from.
+struct ManifestMemo {
+    path: String,
+    text: String,
+    manifest: Arc<Manifest>,
 }
 
 /// Tokens 0..4 are reserved by the epoll loop (listener, waker, SIGINT
@@ -357,7 +367,26 @@ impl ServerState {
             next_conn_token: AtomicU64::new(FIRST_CONN_TOKEN),
             #[cfg(target_os = "linux")]
             waker: std::sync::Mutex::new(None),
+            manifest_memo: std::sync::Mutex::new(None),
         })
+    }
+
+    /// Loads the manifest at `path`. The file is read on every call but
+    /// decoded only when its path or bytes differ from the memoized one's,
+    /// so a rewritten manifest is never served stale.
+    fn load_manifest(&self, path: &str) -> Result<Arc<Manifest>, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        let mut memo = self.manifest_memo.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(m) = memo.as_ref().filter(|m| m.path == path && m.text == text) {
+            return Ok(Arc::clone(&m.manifest));
+        }
+        let manifest = Arc::new(Manifest::from_json(&text).map_err(|e| format!("{path}: {e}"))?);
+        *memo = Some(ManifestMemo {
+            path: path.to_owned(),
+            text,
+            manifest: Arc::clone(&manifest),
+        });
+        Ok(manifest)
     }
 
     /// Mints the next connection token (shared across transports).
@@ -2072,15 +2101,13 @@ fn start_check(
             Ok(text) => text,
             Err(e) => return fail(format!("{path}: {e}")),
         },
-        ProgramSource::Manifest { path, entry } => {
-            match rstudy_ingest::Manifest::load(std::path::Path::new(path)) {
-                Ok(m) => match m.find_program(entry) {
-                    Some(unit) => unit.program.clone(),
-                    None => return fail(format!("{path}: no lowered program for entry `{entry}`")),
-                },
-                Err(e) => return fail(e.to_string()),
-            }
-        }
+        ProgramSource::Manifest { path, entry } => match state.load_manifest(path) {
+            Ok(m) => match m.find_program(entry) {
+                Some(unit) => unit.program.clone(),
+                None => return fail(format!("{path}: no lowered program for entry `{entry}`")),
+            },
+            Err(e) => return fail(e),
+        },
     };
     let detectors = match canonical_detectors(check.detectors.as_deref()) {
         Ok(d) => d,
@@ -2341,32 +2368,6 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         error_response(&job.id, &msg)
     };
 
-    let t_parse = Instant::now();
-    let program = {
-        let _span = rstudy_telemetry::span("serve.parse");
-        match parse_program(&job.program_text) {
-            Ok(p) => p,
-            Err(e) => {
-                return (
-                    fail(format!("parse error: {e}")),
-                    outcome("error", None, 0, false, stages),
-                )
-            }
-        }
-    };
-    if let Err(errs) = validate_program(&program) {
-        return (
-            fail(format!("invalid program: {}", errs[0])),
-            outcome("error", None, 0, false, stages),
-        );
-    }
-    let parse_ns = t_parse.elapsed().as_nanos() as u64;
-    stages.push(Stage {
-        name: "parse",
-        start_ns: off(t_parse),
-        end_ns: off(Instant::now()),
-    });
-
     let config = if job.naive {
         DetectorConfig::naive()
     } else {
@@ -2376,30 +2377,46 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         Ok(s) => s.with_jobs(job.jobs).with_config(config),
         Err(e) => return (fail(e), outcome("error", None, 0, false, stages)),
     };
-    let t_check = Instant::now();
-    let (report, timings) = {
+    // Parse, validate and the suite share one `catch_unwind`: a panic on
+    // any input answers `error` and leaves this worker serving.
+    let t_parse = Instant::now();
+    let mut t_check = None;
+    let analyzed = catch_unwind(AssertUnwindSafe(|| {
+        let program = {
+            let _span = rstudy_telemetry::span("serve.parse");
+            parse_program(&job.program_text).map_err(|e| format!("parse error: {e}"))?
+        };
+        validate_program(&program).map_err(|errs| format!("invalid program: {}", errs[0]))?;
+        t_check = Some(Instant::now());
         let _span = rstudy_telemetry::span("serve.check");
-        match catch_unwind(AssertUnwindSafe(|| suite.check_program_timed(&program))) {
-            Ok(r) => r,
-            Err(_) => {
-                stages.push(Stage {
-                    name: "check",
-                    start_ns: off(t_check),
-                    end_ns: off(Instant::now()),
-                });
-                return (
-                    fail("internal error: a detector panicked".to_owned()),
-                    outcome("error", None, parse_ns, true, stages),
-                );
-            }
+        Ok(suite.check_program_timed(&program))
+    }));
+    let t_end = Instant::now();
+    let parse_end = t_check.unwrap_or(t_end);
+    let parse_ns = (parse_end - t_parse).as_nanos() as u64;
+    let check_ns = (t_end - parse_end).as_nanos() as u64;
+    stages.push(Stage {
+        name: "parse",
+        start_ns: off(t_parse),
+        end_ns: off(parse_end),
+    });
+    if t_check.is_some() {
+        stages.push(Stage {
+            name: "check",
+            start_ns: off(parse_end),
+            end_ns: off(t_end),
+        });
+    }
+    let (report, timings) = match analyzed {
+        Ok(Ok(r)) => r,
+        Ok(Err(msg)) => return (fail(msg), outcome("error", None, 0, false, stages)),
+        Err(_) => {
+            return (
+                fail("internal error: the analysis panicked".to_owned()),
+                outcome("error", None, parse_ns, true, stages),
+            )
         }
     };
-    let check_ns = t_check.elapsed().as_nanos() as u64;
-    stages.push(Stage {
-        name: "check",
-        start_ns: off(t_check),
-        end_ns: off(Instant::now()),
-    });
     let analysis_ns = parse_ns + check_ns;
     state.analysis_ns.record(analysis_ns);
     rstudy_telemetry::record("serve.analysis_ns", analysis_ns);

@@ -173,6 +173,33 @@ fn serve_analyzes_every_ingested_entry_with_zero_errors() {
     ));
     assert_eq!(v.get("status").and_then(Value::as_str), Some("error"));
 
+    // Rewrite the manifest in place at the same length, planting an
+    // uninitialized read in `double`: the server must decode the new bytes
+    // and analyze the changed program, not replay its memo or cache.
+    let math_request = format!(
+        r#"{{"id":"math","manifest":{},"entry":"src/math.rs"}}"#,
+        serde_json::to_string(&manifest_path.to_str().unwrap().to_owned()).unwrap(),
+    );
+    let before = std::fs::read_to_string(&manifest_path).unwrap();
+    let after = before.replacen("_2 = _1 * const 2;", "_1 = _1 * const 2;", 1);
+    assert_ne!(before, after);
+    assert_eq!(before.len(), after.len());
+    std::fs::write(&manifest_path, after).unwrap();
+    let v = round_trip(math_request.clone());
+    assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"), "{v:?}");
+    assert_eq!(v.get("cached"), Some(&Value::Bool(false)), "{v:?}");
+    let report = serde_json::to_string(v.get("report").unwrap()).unwrap();
+    assert!(report.contains("uninit-read"), "{report}");
+
+    // Once the file is gone, the request answers `error`.
+    std::fs::remove_file(&manifest_path).unwrap();
+    let v = round_trip(math_request);
+    assert_eq!(
+        v.get("status").and_then(Value::as_str),
+        Some("error"),
+        "{v:?}"
+    );
+
     let v = round_trip(r#"{"cmd":"shutdown"}"#.to_owned());
     assert_eq!(v.get("status").and_then(Value::as_str), Some("shutdown"));
     join.join().unwrap();

@@ -284,6 +284,18 @@ fn malformed_and_invalid_requests_get_error_responses() {
     ));
     assert_eq!(status(&unparsable_mir), "error", "{unparsable_mir:?}");
 
+    // Non-ASCII program text is a parse error, and the single worker
+    // survives it to answer the next request.
+    for (id, program) in [("u1", "é"), ("u2", "fn main() -> int { é }")] {
+        let non_ascii = client.round_trip(&check_request(id, program, ""));
+        assert_eq!(status(&non_ascii), "error", "{non_ascii:?}");
+    }
+
+    // Nesting past the decoder's depth limit is an error, not a stack
+    // overflow that takes the server down.
+    let deep = client.round_trip(&"[".repeat(200_000));
+    assert_eq!(status(&deep), "error", "{deep:?}");
+
     // The connection (and the server) survived all of the above.
     let alive = client.round_trip(&check_request("ok", &clean_program(7202), ""));
     assert_eq!(status(&alive), "ok", "{alive:?}");
