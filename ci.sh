@@ -160,52 +160,53 @@ if [ "$LOG_LINES" -ne "$OBS_REQUESTS" ]; then
     exit 1
 fi
 
-echo "== poll-vs-epoll equivalence smoke =="
-# Both transports must answer the serve-smoke fixtures byte-identically
-# (the measured `timing` object aside). Boot a fresh server per transport
-# so trace ids start from 1 in both.
-transport_answers() { # transport_answers <poll|epoll> <outfile>
-    local transport=$1 outfile=$2 log port reply
-    log="$SERVE_TMP/serve-$transport.log"
-    "$BIN" serve --port 0 --workers 2 --transport "$transport" \
-        > "$log" 2>&1 &
-    local pid=$!
-    port=""
-    for _ in $(seq 100); do
-        port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")
-        [ -n "$port" ] && break
-        sleep 0.1
-    done
-    if [ -z "$port" ]; then
-        echo "FAIL: serve --transport $transport did not report its port" >&2
-        cat "$log" >&2
+echo "== stdin-vs-TCP equivalence smoke =="
+# Both front ends share one dispatch, so `serve --stdin` and the TCP
+# transport must answer the serve-smoke fixtures, a repeat and a trailing
+# `stats` byte-identically once the measured `timing` object and
+# `uptime_ms` are stripped. Each mode boots a fresh server, so trace ids
+# start from 1 in both.
+EQUIV_REQUESTS="$SERVE_TMP/equiv-requests.ndjson"
+for fixture in serve_smoke_clean serve_smoke_buggy serve_smoke_malformed; do
+    printf '{"id":"%s","path":"examples/mir/%s.mir"}\n' "$fixture" "$fixture"
+done > "$EQUIV_REQUESTS"
+printf '%s\n' '{"id":"repeat","path":"examples/mir/serve_smoke_clean.mir"}' \
+    '{"id":"s","cmd":"stats"}' >> "$EQUIV_REQUESTS"
+strip_measured() { sed -e 's/"timing":{[^}]*},//' -e 's/"uptime_ms":[0-9]*,//'; }
+"$BIN" serve --stdin --workers 2 < "$EQUIV_REQUESTS" | strip_measured \
+    > "$SERVE_TMP/answers-stdin.txt"
+"$BIN" serve --port 0 --workers 2 > "$SERVE_TMP/serve-equiv.log" 2>&1 &
+EQUIV_PID=$!
+EQUIV_PORT=""
+for _ in $(seq 100); do
+    EQUIV_PORT=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$SERVE_TMP/serve-equiv.log")
+    [ -n "$EQUIV_PORT" ] && break
+    sleep 0.1
+done
+if [ -z "$EQUIV_PORT" ]; then
+    echo "FAIL: serve --port 0 did not report its port" >&2
+    cat "$SERVE_TMP/serve-equiv.log" >&2
+    exit 1
+fi
+exec 4<>"/dev/tcp/127.0.0.1/$EQUIV_PORT"
+while IFS= read -r request; do
+    printf '%s\n' "$request" >&4
+    IFS= read -r -t 20 reply <&4 || {
+        echo "FAIL: no TCP reply for $request" >&2
         exit 1
-    fi
-    exec 4<>"/dev/tcp/127.0.0.1/$port"
-    : > "$outfile"
-    local fixture
-    for fixture in serve_smoke_clean serve_smoke_buggy serve_smoke_malformed; do
-        printf '{"id":"%s","path":"examples/mir/%s.mir"}\n' "$fixture" "$fixture" >&4
-        IFS= read -r -t 20 reply <&4 || {
-            echo "FAIL: no $transport reply for $fixture" >&2
-            exit 1
-        }
-        # Strip the measured timing object before comparing.
-        printf '%s\n' "$reply" | sed 's/"timing":{[^}]*},//' >> "$outfile"
-    done
-    printf '{"id":"bye","cmd":"shutdown"}\n' >&4
-    IFS= read -r -t 20 reply <&4 || true
-    exec 4<&- 4>&-
-    if ! wait "$pid"; then
-        echo "FAIL: serve --transport $transport exited non-zero" >&2
-        exit 1
-    fi
-}
-transport_answers epoll "$SERVE_TMP/answers-epoll.txt"
-transport_answers poll "$SERVE_TMP/answers-poll.txt"
-if ! cmp -s "$SERVE_TMP/answers-epoll.txt" "$SERVE_TMP/answers-poll.txt"; then
-    echo "FAIL: poll and epoll transports answered differently:" >&2
-    diff "$SERVE_TMP/answers-epoll.txt" "$SERVE_TMP/answers-poll.txt" >&2 || true
+    }
+    printf '%s\n' "$reply"
+done < "$EQUIV_REQUESTS" | strip_measured > "$SERVE_TMP/answers-tcp.txt"
+printf '{"id":"bye","cmd":"shutdown"}\n' >&4
+IFS= read -r -t 20 _ <&4 || true
+exec 4<&- 4>&-
+if ! wait "$EQUIV_PID"; then
+    echo "FAIL: serve --port 0 exited non-zero after shutdown" >&2
+    exit 1
+fi
+if ! cmp -s "$SERVE_TMP/answers-stdin.txt" "$SERVE_TMP/answers-tcp.txt"; then
+    echo "FAIL: serve --stdin and the TCP transport answered differently:" >&2
+    diff "$SERVE_TMP/answers-stdin.txt" "$SERVE_TMP/answers-tcp.txt" >&2 || true
     exit 1
 fi
 

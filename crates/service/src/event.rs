@@ -5,7 +5,7 @@
 //! [`crate::server`]: the handful of syscalls the event loop needs are
 //! declared `extern "C"` against the platform libc instead of pulling in
 //! a crate. Everything here is Linux-only and the module is compiled out
-//! elsewhere; the portable poll transport remains the fallback.
+//! elsewhere, where `serve --stdin` is the portable mode.
 //!
 //! Three primitives:
 //!

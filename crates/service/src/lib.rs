@@ -6,11 +6,12 @@
 //! cost amortizes across requests:
 //!
 //! * **Transport** ([`protocol`], [`event`]) — newline-delimited JSON
-//!   over a loopback TCP listener (an epoll-driven event loop on Linux, a
-//!   portable polling fallback elsewhere), or over stdin/stdout for
-//!   piping. Each request carries MIR source (inline or by path) plus
-//!   options; each response is a machine-readable diagnostics report,
-//!   byte-identical to `check --json` for the same program.
+//!   over a loopback TCP listener (an epoll-driven event loop, Linux
+//!   only), or over stdin/stdout for piping, which is the portable mode.
+//!   Both share one dispatch. Each request carries MIR source (inline or
+//!   by path) plus options; each response is a machine-readable
+//!   diagnostics report, byte-identical to `check --json` for the same
+//!   program.
 //! * **Batching** ([`queue`]) — a bounded job queue feeds a pool of worker
 //!   threads that reuse the existing `DetectorSuite`/`AnalysisContext`
 //!   machinery. A full queue answers `overloaded` immediately instead of
@@ -23,12 +24,12 @@
 //!   a structured `timeout` without wedging workers, malformed requests
 //!   never kill a connection, and shutdown (request, EOF, or SIGINT)
 //!   drains in-flight work and flushes the disk cache before returning.
-//! * **Observability** (`obs`) — a Prometheus scrape endpoint
-//!   (`--metrics-port`, `GET /metrics` + `GET /healthz`), a structured
-//!   JSON access log (`--access-log`) written off the hot path, and an
-//!   always-on flight recorder that promotes slow/timed-out/panicked
-//!   requests into an incident buffer dumpable as Chrome-trace JSON
-//!   (`{"cmd":"incidents"}`, and at shutdown).
+//! * **Observability** (`obs`) — a Prometheus scrape endpoint on the TCP
+//!   event loop (`--metrics-port`, `GET /metrics` + `GET /healthz`), a
+//!   structured JSON access log (`--access-log`) written off the hot
+//!   path, and an always-on flight recorder that promotes
+//!   slow/timed-out/panicked requests into an incident buffer dumpable as
+//!   Chrome-trace JSON (`{"cmd":"incidents"}`, and at shutdown).
 //!
 //! ```no_run
 //! use rstudy_serve::{ServeConfig, Server};
@@ -53,6 +54,4 @@ pub use cache::{CacheKey, ResultCache};
 pub use loadgen::{LoadgenConfig, LoadgenReport, ScrapeSummary};
 pub use protocol::{CheckRequest, Command, ProgramSource, Request, RequestError};
 pub use queue::{JobQueue, PushError};
-pub use server::{
-    install_sigint_handler, serve_stream, ServeConfig, Server, ServerHandle, Transport,
-};
+pub use server::{install_sigint_handler, serve_stream, ServeConfig, Server, ServerHandle};

@@ -26,7 +26,7 @@ use rstudy_core::suite::DetectorSuite;
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
 use serde::Value;
 
-use crate::server::{histogram_summary, ServeConfig, Server, Transport};
+use crate::server::{histogram_summary, ServeConfig, Server};
 
 /// What to replay and how hard.
 #[derive(Debug, Clone)]
@@ -48,12 +48,6 @@ pub struct LoadgenConfig {
     /// Replay lowered programs out of an ingest manifest instead of the
     /// built-in corpus; empty `mix` cycles through every lowered unit.
     pub manifest: Option<std::path::PathBuf>,
-    /// Transport for the in-process server (ignored when `addr` points at
-    /// an external one). With `rate: 0.0` the run is closed-loop — each
-    /// connection fires as soon as its previous response lands — which
-    /// measures the transport's latency *floor* rather than behavior
-    /// under a fixed offered load.
-    pub transport: Transport,
     /// Scrape `GET /metrics` during and after the run and embed a
     /// [`ScrapeSummary`] cross-check in the report. For an in-process
     /// server this turns the scrape endpoint on automatically.
@@ -72,7 +66,6 @@ impl Default for LoadgenConfig {
             addr: None,
             mix: Vec::new(),
             manifest: None,
-            transport: Transport::default(),
             scrape: false,
             scrape_addr: None,
         }
@@ -350,7 +343,6 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         }
         None => {
             let serve_config = ServeConfig {
-                transport: config.transport,
                 metrics_port: scrape.then_some(0),
                 ..ServeConfig::default()
             };

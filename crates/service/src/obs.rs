@@ -22,9 +22,10 @@
 //!   command and the Prometheus `/metrics` families so the two surfaces
 //!   cannot drift.
 //!
-//! The module also holds the minimal HTTP/1.0 plumbing shared by the
-//! epoll-multiplexed scrape endpoint and the poll/stdin transports'
-//! fallback thread: head parsing and response framing, no dependencies.
+//! Status counters (`rstudy_responses_total`) count answers, once per
+//! admitted check; the work histograms count work done, discarded work
+//! included. The module also holds the scrape endpoint's minimal HTTP/1.0
+//! plumbing: head parsing and response framing, no dependencies.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::OpenOptions;

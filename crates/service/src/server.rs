@@ -1,27 +1,29 @@
 //! The resident analysis server.
 //!
 //! ```text
-//!   TCP clients ──┐                         ┌── worker ──┐
-//!   (NDJSON)      ├─ transport (epoll/poll)─┤  bounded   ├─ DetectorSuite
-//!   stdin pipe ───┘        │                │  JobQueue  │
-//!                          │                └── worker ──┘
-//!                          └── ResultCache (mem LRU + disk) ── hit: no work
+//!   TCP clients ── epoll I/O thread ─┐                  ┌── worker ──┐
+//!   (NDJSON)                         ├─ dispatch ─ admit┤  bounded   ├─ DetectorSuite
+//!   stdin pipe ─── serve --stdin ────┘      │           │  JobQueue  │
+//!                                           │           └── worker ──┘
+//!                                           └── ResultCache (mem LRU + disk) ── hit: no work
 //! ```
 //!
-//! Two transports share one request lifecycle:
+//! Two front ends share one request path. `dispatch` turns a request line
+//! into its answer or into a check queued for the worker pool, and
+//! `settle_check` closes out every admitted check exactly once, counting
+//! the status of the response actually sent. A front end only decides how
+//! a queued check waits for its completion:
 //!
-//! * **epoll** (Linux, the default) — a single I/O thread owns the
-//!   nonblocking listener and every connection, reacting to readability
-//!   instead of sleeping a poll interval. Complete NDJSON lines are parsed
-//!   out of per-connection buffers; cache hits and control commands are
-//!   answered inline; cache misses go to the worker pool, whose
-//!   completions wake the loop through an eventfd
+//! * **TCP** (Linux) — a single I/O thread owns the nonblocking listener
+//!   and every connection, reacting to readiness through `epoll`.
+//!   Complete NDJSON lines are parsed out of per-connection buffers;
+//!   worker completions wake the loop through an eventfd
 //!   ([`crate::queue::CompletionQueue`]). There is **no timed sleep
 //!   anywhere on the request path**: idle connections cost zero wakeups
 //!   and accepts are immediate.
-//! * **poll** (portable fallback, `--transport poll`) — a blocking accept
-//!   loop plus one handler thread per connection, both re-checking the
-//!   shutdown flag every [`POLL_INTERVAL`].
+//! * **`serve --stdin`** (portable) — one blocking loop over an NDJSON
+//!   stream, waiting on a channel for each queued check. Off Linux it is
+//!   the only mode: [`Server::run`] answers `Unsupported`.
 //!
 //! All degradation is structured: a full queue answers `overloaded`, an
 //! expired deadline answers `timeout`, malformed input answers `error`,
@@ -30,11 +32,10 @@
 //! [`ServerHandle::begin_shutdown`]) drains accepted jobs, flushes the
 //! disk cache, and only then lets [`Server::run`] return.
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -56,49 +57,6 @@ use crate::protocol::{
 use crate::queue::{CompletionQueue, Notify};
 use crate::queue::{JobQueue, PushError};
 
-/// How often the *poll transport's* blocked loops (accept, connection
-/// reads) re-check the shutdown flag. The epoll transport never sleeps on
-/// a cadence; this constant is its accept-backoff unit only.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-
-/// How long a draining server keeps trying to flush already-built
-/// responses to clients that have stopped reading (mirrors the poll
-/// transport's 10 s write timeout).
-const DRAIN_WRITE_GRACE: Duration = Duration::from_secs(10);
-
-/// The connection-handling strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Blocking accept/read loops on a 25 ms poll cadence. Portable; the
-    /// default off Linux.
-    Poll,
-    /// A single epoll-driven I/O thread; event-driven accepts, reads,
-    /// writes, and worker completions. Linux-only; the default there.
-    Epoll,
-}
-
-impl Default for Transport {
-    fn default() -> Transport {
-        if cfg!(target_os = "linux") {
-            Transport::Epoll
-        } else {
-            Transport::Poll
-        }
-    }
-}
-
-impl FromStr for Transport {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Transport, String> {
-        match s {
-            "poll" => Ok(Transport::Poll),
-            "epoll" => Ok(Transport::Epoll),
-            _ => Err(format!("unknown transport `{s}` (valid: poll, epoll)")),
-        }
-    }
-}
-
 /// Server tuning knobs. `Default` matches the CLI defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -114,10 +72,9 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Default `DetectorSuite` jobs per analysis (`0` = all cores).
     pub default_jobs: usize,
-    /// Connection-handling strategy (epoll on Linux, poll elsewhere).
-    pub transport: Transport,
     /// Loopback port for the Prometheus scrape endpoint (`GET /metrics`,
-    /// `GET /healthz`); `0` = kernel-assigned, `None` = no endpoint.
+    /// `GET /healthz`); `0` = kernel-assigned, `None` = no endpoint. TCP
+    /// mode only: [`serve_stream`] rejects it.
     pub metrics_port: Option<u16>,
     /// Structured access-log file: one JSON line per completed check
     /// request, appended by a dedicated logger thread. `None` = no log.
@@ -140,7 +97,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             cache_capacity: 128,
             default_jobs: 0,
-            transport: Transport::default(),
             metrics_port: None,
             access_log: None,
             access_log_sample: 1,
@@ -150,7 +106,10 @@ impl Default for ServeConfig {
 }
 
 /// Service counters, exported by `stats` responses (and mirrored into
-/// telemetry when it is enabled).
+/// telemetry when it is enabled). `requests` counts admitted checks; the
+/// four status counters count answers, each admitted check exactly once
+/// (in [`settle_check`]), plus the `error` answers for lines that never
+/// became a check.
 #[derive(Debug, Default)]
 struct ServeStats {
     requests: AtomicU64,
@@ -160,12 +119,33 @@ struct ServeStats {
     overloaded: AtomicU64,
 }
 
+/// The status of a check's response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Ok,
+    Error,
+    Timeout,
+    Overloaded,
+}
+
+impl Status {
+    fn as_str(self) -> &'static str {
+        match self {
+            Status::Ok => "ok",
+            Status::Error => "error",
+            Status::Timeout => "timeout",
+            Status::Overloaded => "overloaded",
+        }
+    }
+}
+
 /// Everything the observability plane records about one answered check
 /// request: produced wherever the response is built, consumed exactly
 /// once by [`settle_check`] — which is also what guarantees exactly one
-/// access-log line and one flight-recorder timeline per admitted check.
+/// status count, access-log line and flight-recorder timeline per
+/// admitted check.
 struct RequestOutcome {
-    status: &'static str,
+    status: Status,
     cache: Option<&'static str>,
     queue_ns: u64,
     analysis_ns: u64,
@@ -177,7 +157,7 @@ struct RequestOutcome {
 impl RequestOutcome {
     /// An outcome answered without worker involvement (validation error,
     /// shed load, timeout): no stages, no cache disposition.
-    fn inline(status: &'static str) -> RequestOutcome {
+    fn inline(status: Status) -> RequestOutcome {
         RequestOutcome {
             status,
             cache: None,
@@ -189,13 +169,9 @@ impl RequestOutcome {
         }
     }
 
-    fn timeout() -> RequestOutcome {
-        RequestOutcome::inline("timeout")
-    }
-
     fn cache_hit(detectors: Vec<String>) -> RequestOutcome {
         RequestOutcome {
-            status: "ok",
+            status: Status::Ok,
             cache: Some("hit"),
             queue_ns: 0,
             analysis_ns: 0,
@@ -206,56 +182,46 @@ impl RequestOutcome {
     }
 }
 
-/// The return path for a finished job: either the blocking waiter's
-/// channel (poll/stdin transports) or the event loop's completion queue.
+/// Where a worker delivers a finished check: back to the connection that
+/// queued it. Each connection (the stdin stream is one) holds one, and
+/// every job carries a clone.
+#[derive(Clone)]
 enum Responder {
-    /// A connection-handler thread blocked on the receiving end.
-    Channel(mpsc::Sender<(String, RequestOutcome)>),
-    /// The epoll loop's completion mailbox; the push wakes the loop.
+    /// `serve --stdin`: the reading thread waits on the receiving end.
+    Channel(mpsc::Sender<Completion>),
+    /// The epoll loop's completion mailbox, tagged with the connection's
+    /// token; the push wakes the loop.
     #[cfg(target_os = "linux")]
-    Completion {
-        queue: Arc<CompletionQueue<Completion>>,
+    Loop {
+        queue: Arc<CompletionQueue<(u64, Completion)>>,
         token: u64,
-        serial: u64,
     },
 }
 
 impl Responder {
-    fn deliver(&self, response: String, outcome: RequestOutcome) {
+    fn deliver(&self, done: Completion) {
         match self {
-            // The waiter may have timed out and gone; a dead channel is fine.
+            // The reader may have failed and gone; a dead channel is fine.
             Responder::Channel(tx) => {
-                let _ = tx.send((response, outcome));
+                let _ = tx.send(done);
             }
             #[cfg(target_os = "linux")]
-            Responder::Completion {
-                queue,
-                token,
-                serial,
-            } => queue.push(Completion {
-                token: *token,
-                serial: *serial,
-                response,
-                outcome,
-            }),
+            Responder::Loop { queue, token } => queue.push((*token, done)),
         }
     }
 }
 
-/// A finished job travelling from a worker back to the event loop.
-#[cfg(target_os = "linux")]
-pub(crate) struct Completion {
-    /// The connection the response belongs to.
-    token: u64,
-    /// The per-connection request serial — a completion whose serial no
-    /// longer matches (the loop already answered `timeout`) is dropped,
-    /// like a send on a hung-up channel.
-    serial: u64,
+/// A finished check travelling from a worker back to its front end. The
+/// front end compares `trace_id` with the check it is waiting on: a
+/// completion for a check it already answered `timeout` is stale and is
+/// dropped uncounted.
+struct Completion {
+    trace_id: u64,
     response: String,
     outcome: RequestOutcome,
 }
 
-/// One unit of analysis work travelling from a transport to the worker
+/// One unit of analysis work travelling from a front end to the worker
 /// pool. The responder carries the finished response line back.
 struct Job {
     id: Option<Value>,
@@ -270,7 +236,7 @@ struct Job {
     trace: bool,
     delay_ms: u64,
     key: CacheKey,
-    /// When the transport admitted the request (starts `total_ns`).
+    /// When the front end admitted the request (starts `total_ns`).
     accepted_at: Instant,
     /// When the job entered the bounded queue (starts `queue_ns`).
     enqueued_at: Instant,
@@ -307,7 +273,7 @@ struct ServerState {
     /// Always-on per-detector latency/finding aggregates, fed by the
     /// workers' timed suite runs.
     detectors: obs::DetectorStats,
-    /// Source of connection tokens, shared by every transport (and the
+    /// Source of connection tokens, shared by both front ends (and the
     /// metrics endpoint) so access-log `conn` fields are unambiguous.
     next_conn_token: AtomicU64,
     /// The running epoll loop's wakeup eventfd, so an out-of-band
@@ -327,8 +293,8 @@ struct ManifestMemo {
 }
 
 /// Tokens 0..4 are reserved by the epoll loop (listener, waker, SIGINT
-/// latch, metrics listener); connection tokens — for every transport, and
-/// for metrics connections — are minted from a shared counter above them.
+/// latch, metrics listener); connection tokens — TCP, stdin and metrics
+/// connections alike — are minted from a shared counter above them.
 const FIRST_CONN_TOKEN: u64 = 4;
 
 impl ServerState {
@@ -389,7 +355,7 @@ impl ServerState {
         Ok(manifest)
     }
 
-    /// Mints the next connection token (shared across transports).
+    /// Mints the next connection token (shared across front ends).
     fn mint_conn_token(&self) -> u64 {
         self.next_conn_token.fetch_add(1, Ordering::Relaxed)
     }
@@ -458,6 +424,7 @@ impl ServerHandle {
 // SIGINT
 // ---------------------------------------------------------------------------
 
+#[cfg(unix)]
 static SIGINT_RECEIVED: AtomicBool = AtomicBool::new(false);
 
 /// The eventfd the SIGINT handler writes to so an epoll loop wakes
@@ -477,8 +444,8 @@ fn sigint_wake_fd() -> Option<std::os::unix::io::RawFd> {
 /// Installs a SIGINT (ctrl-C) handler that requests graceful shutdown of
 /// every server in this process. The handler stores into an atomic and
 /// (on Linux) writes one eventfd counter — both async-signal-safe. The
-/// poll transport's accept loop polls the flag; the epoll transport
-/// registers the eventfd in its interest set and is woken by the write.
+/// epoll loop registers the eventfd in its interest set, is woken by the
+/// write, and reads the flag.
 #[cfg(unix)]
 pub fn install_sigint_handler() {
     #[cfg(target_os = "linux")]
@@ -563,75 +530,11 @@ impl Server {
     /// Serves until shutdown is requested (a `shutdown` request on any
     /// connection, [`ServerHandle::begin_shutdown`], or SIGINT), then
     /// drains in-flight jobs, flushes the disk cache, and returns.
-    pub fn run(self) -> io::Result<()> {
-        match self.state.config.transport {
-            #[cfg(target_os = "linux")]
-            Transport::Epoll => self.run_epoll(),
-            #[cfg(not(target_os = "linux"))]
-            Transport::Epoll => {
-                eprintln!("serve: the epoll transport is Linux-only; falling back to poll");
-                self.run_poll()
-            }
-            Transport::Poll => self.run_poll(),
-        }
-    }
-
-    /// The portable transport: a nonblocking accept loop sleeping
-    /// [`POLL_INTERVAL`] between attempts, one handler thread per
-    /// connection.
-    fn run_poll(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let state = &self.state;
-        let metrics = self.metrics_listener.as_ref();
-        std::thread::scope(|s| {
-            for _ in 0..state.effective_workers() {
-                s.spawn(move || worker_loop(state));
-            }
-            if let Some(listener) = metrics {
-                s.spawn(move || metrics_accept_loop(listener, state));
-            }
-            loop {
-                if SIGINT_RECEIVED.load(Ordering::Relaxed) {
-                    state.begin_shutdown();
-                }
-                if state.is_shutdown() {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        s.spawn(move || handle_connection(stream, state));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    // Transient resource pressure (fd exhaustion, a
-                    // connection aborted in the backlog, a signal): back
-                    // off one interval and retry.
-                    Err(e) if accept_error_is_transient(&e) => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    // Anything else (EBADF, EINVAL, ...) will fail forever;
-                    // retrying would spin at 40 Hz without ever accepting.
-                    // Log once and drain instead.
-                    Err(e) => {
-                        eprintln!("serve: accept failed fatally: {e}; shutting down");
-                        state.begin_shutdown();
-                    }
-                }
-            }
-            // Redundant when shutdown came through a connection, essential
-            // when it came from a handle or SIGINT.
-            state.begin_shutdown();
-        });
-        finish_run(&self.state);
-        Ok(())
-    }
-
-    /// The event-driven transport: one I/O thread multiplexing the
-    /// listener, every connection, worker completions, and SIGINT over a
-    /// single `epoll_wait`.
+    ///
+    /// One I/O thread multiplexes the listener, every connection, worker
+    /// completions, and SIGINT over a single `epoll_wait`.
     #[cfg(target_os = "linux")]
-    fn run_epoll(self) -> io::Result<()> {
+    pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         if let Some(m) = self.metrics_listener.as_ref() {
             m.set_nonblocking(true)?;
@@ -647,12 +550,22 @@ impl Server {
             state.begin_shutdown();
             result
         });
-        finish_run(&self.state);
+        finish_run(state);
         result
+    }
+
+    /// The TCP transport is built on `epoll`; elsewhere `serve --stdin`
+    /// ([`serve_stream`]) is the portable mode.
+    #[cfg(not(target_os = "linux"))]
+    pub fn run(self) -> io::Result<()> {
+        Err(io::Error::new(
+            ErrorKind::Unsupported,
+            "the TCP transport needs Linux (epoll); use `serve --stdin` on this platform",
+        ))
     }
 }
 
-/// End-of-run teardown shared by every transport: flush the disk cache,
+/// End-of-run teardown shared by both front ends: flush the disk cache,
 /// flush and close the access log, and dump any recorded incidents as
 /// Chrome-trace JSON to stderr.
 fn finish_run(state: &ServerState) {
@@ -675,6 +588,7 @@ fn finish_run(state: &ServerState) {
 /// Whether a failed `accept(2)` is worth retrying after a short backoff
 /// (fd exhaustion, an aborted backlog connection, a signal) as opposed to
 /// failing identically forever (closed or invalid listener).
+#[cfg(target_os = "linux")]
 fn accept_error_is_transient(e: &io::Error) -> bool {
     if matches!(
         e.kind(),
@@ -699,6 +613,8 @@ mod epoll_loop {
         Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
     };
     use std::collections::HashMap;
+    use std::io::Read;
+    use std::net::TcpStream;
     use std::os::unix::io::AsRawFd;
 
     const TOKEN_LISTENER: u64 = 0;
@@ -714,20 +630,22 @@ mod epoll_loop {
     /// Hard cap on a scrape request head; past it the connection is cut.
     const METRICS_HEAD_CAP: usize = 64 * 1024;
 
+    /// How long a listener stays deregistered after a transient accept
+    /// failure (fd exhaustion) before the loop tries it again.
+    const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+
+    /// How long a draining server keeps trying to flush already-built
+    /// responses to clients that have stopped reading.
+    const DRAIN_WRITE_GRACE: Duration = Duration::from_secs(10);
+
+    /// The interest mask a freshly accepted connection starts with.
+    const READABLE: u32 = EPOLLIN | EPOLLRDHUP;
+
     /// Stop reading ahead once this much unprocessed input is buffered
     /// and at least one complete line is waiting — backpressure against a
     /// client that pipelines faster than analyses finish. A single
     /// oversized line is still read to completion.
     const READ_AHEAD_CAP: usize = 1 << 20;
-
-    /// A check request the event loop has handed to the worker pool and
-    /// not yet answered.
-    struct PendingCheck {
-        serial: u64,
-        id: Option<Value>,
-        admission: Admission,
-        deadline: Option<Instant>,
-    }
 
     /// One registered client connection and its buffers.
     struct Conn {
@@ -741,9 +659,10 @@ mod epoll_loop {
         out_pos: usize,
         /// The single check this connection is waiting on. Requests are
         /// answered strictly in request order, so at most one is in
-        /// flight per connection — identical to the poll transport.
+        /// flight per connection.
         inflight: Option<PendingCheck>,
-        next_serial: u64,
+        /// Where workers deliver this connection's checks.
+        respond: Responder,
         /// The peer finished sending (clean EOF or half-close).
         eof: bool,
         /// The connection failed hard; buffers are abandoned.
@@ -753,7 +672,7 @@ mod epoll_loop {
     }
 
     impl Conn {
-        fn new(stream: TcpStream, token: u64, registered: u32) -> Conn {
+        fn new(stream: TcpStream, token: u64, respond: Responder) -> Conn {
             Conn {
                 stream,
                 token,
@@ -761,10 +680,10 @@ mod epoll_loop {
                 outbuf: Vec::new(),
                 out_pos: 0,
                 inflight: None,
-                next_serial: 0,
+                respond,
                 eof: false,
                 dead: false,
-                registered,
+                registered: READABLE,
             }
         }
 
@@ -857,7 +776,7 @@ mod epoll_loop {
                 && !state.is_shutdown()
                 && !self.read_ahead_paused()
             {
-                want |= EPOLLIN | EPOLLRDHUP;
+                want |= READABLE;
             }
             if self.has_unwritten_output() {
                 want |= EPOLLOUT;
@@ -911,7 +830,7 @@ mod epoll_loop {
     }
 
     impl MetricsConn {
-        fn new(stream: TcpStream, token: u64, registered: u32) -> MetricsConn {
+        fn new(stream: TcpStream, token: u64) -> MetricsConn {
             MetricsConn {
                 stream,
                 token,
@@ -920,7 +839,7 @@ mod epoll_loop {
                 out_pos: 0,
                 responded: false,
                 dead: false,
-                registered,
+                registered: READABLE,
                 expires: Instant::now() + METRICS_CONN_TTL,
             }
         }
@@ -987,7 +906,7 @@ mod epoll_loop {
             }
             let mut want = 0;
             if !self.responded {
-                want |= EPOLLIN | EPOLLRDHUP;
+                want |= READABLE;
             }
             if self.has_unwritten_output() {
                 want |= EPOLLOUT;
@@ -1022,18 +941,88 @@ mod epoll_loop {
     /// The shared, immutable pieces every event-loop helper needs.
     struct Reactor<'a> {
         state: &'a ServerState,
-        listener: &'a TcpListener,
-        metrics: Option<&'a TcpListener>,
         epoll: Epoll,
         wake: Arc<EventFd>,
-        completions: Arc<CompletionQueue<Completion>>,
+        completions: Arc<CompletionQueue<(u64, Completion)>>,
     }
 
-    /// Accept-side flow control: deregistered during fd-exhaustion
-    /// backoff and for good once draining.
-    struct AcceptGate {
+    /// A listening socket on the loop. Its interest is level-triggered, so
+    /// a connection it cannot accept (the process is out of descriptors)
+    /// would report it ready on every `epoll_wait`: a transient accept
+    /// failure therefore deregisters it for [`ACCEPT_BACKOFF`].
+    struct Acceptor<'a> {
+        listener: &'a TcpListener,
+        token: u64,
         registered: bool,
+        /// When the current backoff ends; `None` when not backing off.
         resume_at: Option<Instant>,
+    }
+
+    impl<'a> Acceptor<'a> {
+        fn new(listener: &'a TcpListener, token: u64, epoll: &Epoll) -> io::Result<Acceptor<'a>> {
+            epoll.add(listener.as_raw_fd(), token, EPOLLIN)?;
+            Ok(Acceptor {
+                listener,
+                token,
+                registered: true,
+                resume_at: None,
+            })
+        }
+
+        /// Deregisters the listener until `resume_at`, or for good.
+        fn pause(&mut self, epoll: &Epoll, resume_at: Option<Instant>) {
+            if self.registered {
+                let _ = epoll.delete(self.listener.as_raw_fd());
+                self.registered = false;
+            }
+            self.resume_at = resume_at;
+        }
+
+        /// Re-registers the listener once its backoff has run out.
+        fn resume_if_due(&mut self, epoll: &Epoll, now: Instant) {
+            if self.resume_at.is_some_and(|at| now >= at) {
+                self.resume_at = None;
+                self.registered = epoll
+                    .add(self.listener.as_raw_fd(), self.token, EPOLLIN)
+                    .is_ok();
+            }
+        }
+
+        /// Accepts every pending connection, registers it with epoll under
+        /// a fresh token, and hands it to `admit`. A transient failure
+        /// backs off; a fatal one retires the listener and is returned, so
+        /// the caller applies its own policy.
+        fn accept_all(
+            &mut self,
+            r: &Reactor<'_>,
+            mut admit: impl FnMut(TcpStream, u64),
+        ) -> io::Result<()> {
+            while self.registered {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let _ = stream.set_nonblocking(true);
+                        // Responses are coalesced into single writes, but
+                        // disable Nagle too: a response racing a previous
+                        // partial flush must never wait on a delayed ACK.
+                        let _ = stream.set_nodelay(true);
+                        let token = r.state.mint_conn_token();
+                        if r.epoll.add(stream.as_raw_fd(), token, READABLE).is_ok() {
+                            admit(stream, token);
+                        }
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if accept_error_is_transient(&e) => {
+                        self.pause(&r.epoll, Some(Instant::now() + ACCEPT_BACKOFF));
+                    }
+                    Err(e) => {
+                        self.pause(&r.epoll, None);
+                        return Err(e);
+                    }
+                }
+            }
+            Ok(())
+        }
     }
 
     pub(super) fn event_loop(
@@ -1043,15 +1032,15 @@ mod epoll_loop {
     ) -> io::Result<()> {
         let epoll = Epoll::new()?;
         let wake = Arc::new(EventFd::new()?);
-        let completions: Arc<CompletionQueue<Completion>> =
-            Arc::new(CompletionQueue::new(Arc::clone(&wake) as Arc<dyn Notify>));
-        epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
+        let completions = Arc::new(CompletionQueue::new(Arc::clone(&wake) as Arc<dyn Notify>));
+        let listener = Acceptor::new(listener, TOKEN_LISTENER, &epoll)?;
+        // Stays registered during drain: /healthz keeps answering (503)
+        // while in-flight analyses finish.
+        let metrics = match metrics {
+            Some(m) => Some(Acceptor::new(m, TOKEN_METRICS_LISTENER, &epoll)?),
+            None => None,
+        };
         epoll.add(wake.as_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
-        if let Some(m) = metrics {
-            // Stays registered during drain: /healthz keeps answering
-            // (503) while in-flight analyses finish.
-            epoll.add(m.as_raw_fd(), TOKEN_METRICS_LISTENER, EPOLLIN)?;
-        }
         let mut sigint_registered = false;
         if let Some(fd) = sigint_wake_fd() {
             sigint_registered = epoll.add(fd, TOKEN_SIGINT, EPOLLIN).is_ok();
@@ -1059,24 +1048,23 @@ mod epoll_loop {
         state.set_waker(Arc::clone(&wake));
         let reactor = Reactor {
             state,
-            listener,
-            metrics,
             epoll,
             wake,
             completions,
         };
-        let result = event_loop_run(&reactor, sigint_registered);
+        let result = event_loop_run(&reactor, listener, metrics, sigint_registered);
         state.clear_waker();
         result
     }
 
-    fn event_loop_run(r: &Reactor<'_>, mut sigint_registered: bool) -> io::Result<()> {
+    fn event_loop_run(
+        r: &Reactor<'_>,
+        mut listener: Acceptor<'_>,
+        mut metrics: Option<Acceptor<'_>>,
+        mut sigint_registered: bool,
+    ) -> io::Result<()> {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut mconns: HashMap<u64, MetricsConn> = HashMap::new();
-        let mut gate = AcceptGate {
-            registered: true,
-            resume_at: None,
-        };
         let mut events = [EpollEvent::zeroed(); 64];
         let mut draining = false;
         let mut drain_deadline: Option<Instant> = None;
@@ -1088,11 +1076,7 @@ mod epoll_loop {
             if r.state.is_shutdown() && !draining {
                 draining = true;
                 drain_deadline = Some(Instant::now() + DRAIN_WRITE_GRACE);
-                if gate.registered {
-                    let _ = r.epoll.delete(r.listener.as_raw_fd());
-                    gate.registered = false;
-                }
-                gate.resume_at = None;
+                listener.pause(&r.epoll, None);
                 // The SIGINT eventfd is level-triggered and never drained
                 // (the latch serves every future epoll loop in the
                 // process); deregister it so the drain phase blocks
@@ -1117,7 +1101,11 @@ mod epoll_loop {
                 }
             }
 
-            let timeout_ms = next_wakeup_ms(&conns, &mconns, &gate, draining, drain_deadline);
+            let backoff = earliest(
+                listener.resume_at,
+                metrics.as_ref().and_then(|m| m.resume_at),
+            );
+            let timeout_ms = next_wakeup_ms(earliest(backoff, drain_deadline), &conns, &mconns);
             let n = r.epoll.wait(&mut events, timeout_ms)?;
 
             let mut touched: Vec<u64> = Vec::new();
@@ -1126,10 +1114,29 @@ mod epoll_loop {
                 let EpollEvent { events: mask, data } = *ev;
                 match data {
                     TOKEN_LISTENER => {
-                        accept_ready(r, &mut conns, &mut gate);
+                        let accepted = listener.accept_all(r, |stream, token| {
+                            let respond = Responder::Loop {
+                                queue: Arc::clone(&r.completions),
+                                token,
+                            };
+                            conns.insert(token, Conn::new(stream, token, respond));
+                        });
+                        if let Err(e) = accepted {
+                            eprintln!("serve: accept failed fatally: {e}; shutting down");
+                            r.state.begin_shutdown();
+                        }
                     }
                     TOKEN_METRICS_LISTENER => {
-                        accept_metrics(r, &mut mconns);
+                        // A failing metrics listener never takes the
+                        // service down: it only disables the endpoint.
+                        let Some(m) = metrics.as_mut() else { continue };
+                        if let Err(e) = m.accept_all(r, |stream, token| {
+                            mconns.insert(token, MetricsConn::new(stream, token));
+                        }) {
+                            eprintln!(
+                                "serve: metrics accept failed fatally: {e}; disabling the endpoint"
+                            );
+                        }
                     }
                     TOKEN_WAKE => r.wake.drain(),
                     TOKEN_SIGINT => {} // latch; handled at the loop top
@@ -1170,43 +1177,34 @@ mod epoll_loop {
             }
 
             // Re-arm accepts once an fd-exhaustion backoff expires.
-            if let Some(at) = gate.resume_at {
-                if !draining && Instant::now() >= at {
-                    gate.resume_at = None;
-                    gate.registered = r
-                        .epoll
-                        .add(r.listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)
-                        .is_ok();
-                }
+            let now = Instant::now();
+            if !draining {
+                listener.resume_if_due(&r.epoll, now);
+            }
+            if let Some(m) = metrics.as_mut() {
+                m.resume_if_due(&r.epoll, now);
             }
 
-            // Worker completions: answer the request each one belongs to.
-            // A stale serial means the loop already answered `timeout` for
-            // it — the result is discarded, exactly like the poll
-            // transport's send to a hung-up reply channel.
-            for completion in r.completions.drain() {
-                if let Some(conn) = conns.get_mut(&completion.token) {
-                    let matches = conn
-                        .inflight
-                        .as_ref()
-                        .is_some_and(|p| p.serial == completion.serial);
-                    if matches {
-                        let pending = conn.inflight.take().expect("matched above");
-                        settle_check(
-                            r.state,
-                            &pending.admission,
-                            completion.token,
-                            completion.outcome,
-                        );
-                        conn.push_response(&completion.response);
-                        touched.push(completion.token);
-                    }
+            // Worker completions: answer the check each one belongs to. A
+            // completion for a check the loop already answered `timeout`
+            // no longer matches and is dropped.
+            for (token, done) in r.completions.drain() {
+                let Some(conn) = conns.get_mut(&token) else {
+                    continue;
+                };
+                if conn
+                    .inflight
+                    .as_ref()
+                    .is_some_and(|p| p.admission.trace_id == done.trace_id)
+                {
+                    let pending = conn.inflight.take().expect("matched above");
+                    conn.push_response(&pending.settle(r.state, token, Some(done)));
+                    touched.push(token);
                 }
             }
 
             // Expired deadlines: answer `timeout` now; the analysis keeps
             // running but its eventual completion is stale.
-            let now = Instant::now();
             for (token, conn) in conns.iter_mut() {
                 let expired = conn
                     .inflight
@@ -1214,17 +1212,7 @@ mod epoll_loop {
                     .is_some_and(|p| p.deadline.is_some_and(|d| now >= d));
                 if expired {
                     let pending = conn.inflight.take().expect("expired above");
-                    r.state.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    rstudy_telemetry::counter("serve.timeouts", 1);
-                    let response =
-                        timeout_response(&pending.id, pending.admission.trace_id, r.state);
-                    settle_check(
-                        r.state,
-                        &pending.admission,
-                        *token,
-                        RequestOutcome::timeout(),
-                    );
-                    conn.push_response(&response);
+                    conn.push_response(&pending.settle(r.state, *token, None));
                     touched.push(*token);
                 }
             }
@@ -1262,20 +1250,14 @@ mod epoll_loop {
         }
     }
 
-    /// How long `epoll_wait` may block: forever unless a request deadline,
-    /// an accept backoff, a scrape-connection TTL, or the drain grace
-    /// period needs a timer.
+    /// How long `epoll_wait` may block: forever unless `wake_at` (an
+    /// accept backoff or the drain grace period), a request deadline, or a
+    /// scrape-connection TTL needs a timer.
     fn next_wakeup_ms(
+        mut wake_at: Option<Instant>,
         conns: &HashMap<u64, Conn>,
         mconns: &HashMap<u64, MetricsConn>,
-        gate: &AcceptGate,
-        draining: bool,
-        drain_deadline: Option<Instant>,
     ) -> i32 {
-        let mut wake_at: Option<Instant> = gate.resume_at;
-        if draining {
-            wake_at = earliest(wake_at, drain_deadline);
-        }
         for conn in conns.values() {
             if let Some(p) = &conn.inflight {
                 wake_at = earliest(wake_at, p.deadline);
@@ -1307,78 +1289,9 @@ mod epoll_loop {
         }
     }
 
-    /// Accepts every pending connection. Transient failures back off by
-    /// deregistering the listener for one [`POLL_INTERVAL`] (a
-    /// level-triggered epoll would otherwise report it hot the whole
-    /// time); fatal ones log once and begin a graceful drain.
-    fn accept_ready(r: &Reactor<'_>, conns: &mut HashMap<u64, Conn>, gate: &mut AcceptGate) {
-        if !gate.registered {
-            return;
-        }
-        loop {
-            match r.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    // Responses are coalesced into single writes, but
-                    // disable Nagle too: a response racing a previous
-                    // partial flush must never wait on a delayed ACK.
-                    let _ = stream.set_nodelay(true);
-                    let token = r.state.mint_conn_token();
-                    let interest = EPOLLIN | EPOLLRDHUP;
-                    if r.epoll.add(stream.as_raw_fd(), token, interest).is_ok() {
-                        conns.insert(token, Conn::new(stream, token, interest));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if accept_error_is_transient(&e) => {
-                    let _ = r.epoll.delete(r.listener.as_raw_fd());
-                    gate.registered = false;
-                    gate.resume_at = Some(Instant::now() + POLL_INTERVAL);
-                    return;
-                }
-                Err(e) => {
-                    eprintln!("serve: accept failed fatally: {e}; shutting down");
-                    r.state.begin_shutdown();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Accepts every pending scrape connection. A failing metrics
-    /// listener never takes the service down: fatal accept errors just
-    /// deregister the endpoint.
-    fn accept_metrics(r: &Reactor<'_>, mconns: &mut HashMap<u64, MetricsConn>) {
-        let Some(listener) = r.metrics else {
-            return;
-        };
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    let token = r.state.mint_conn_token();
-                    let interest = EPOLLIN | EPOLLRDHUP;
-                    if r.epoll.add(stream.as_raw_fd(), token, interest).is_ok() {
-                        mconns.insert(token, MetricsConn::new(stream, token, interest));
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if accept_error_is_transient(&e) => return,
-                Err(e) => {
-                    eprintln!("serve: metrics accept failed fatally: {e}; disabling the endpoint");
-                    let _ = r.epoll.delete(listener.as_raw_fd());
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Parses and dispatches every complete buffered line, one check at a
-    /// time (responses are strictly in request order). Also converts a
-    /// final unterminated fragment at EOF into a structured error.
+    /// Dispatches every complete buffered line, one check at a time
+    /// (responses are strictly in request order). Also converts a final
+    /// unterminated fragment at EOF into a structured error.
     fn process_lines(conn: &mut Conn, r: &Reactor<'_>) {
         let mut consumed = 0usize;
         while conn.inflight.is_none() && !conn.dead && !r.state.is_shutdown() {
@@ -1386,20 +1299,21 @@ mod epoll_loop {
                 break;
             };
             let end = consumed + rel;
-            let line = match std::str::from_utf8(&conn.inbuf[consumed..end]) {
-                Ok(s) => s.trim().to_owned(),
-                Err(_) => {
-                    // The poll transport's `read_line` kills the
-                    // connection on invalid UTF-8; match it.
-                    conn.dead = true;
-                    break;
-                }
+            // A line that is not UTF-8 cannot be framed as a request at
+            // all; the connection is dropped.
+            let Ok(line) = std::str::from_utf8(&conn.inbuf[consumed..end]) else {
+                conn.dead = true;
+                break;
             };
+            let line = line.trim();
+            let dispatched =
+                (!line.is_empty()).then(|| dispatch(line, r.state, conn.token, &conn.respond));
             consumed = end + 1;
-            if line.is_empty() {
-                continue;
+            match dispatched {
+                Some(Dispatch::Answer(response)) => conn.push_response(&response),
+                Some(Dispatch::Queued(pending)) => conn.inflight = Some(pending),
+                None => {}
             }
-            dispatch_line(conn, &line, r);
         }
         if consumed > 0 {
             conn.inbuf.drain(..consumed);
@@ -1409,68 +1323,13 @@ mod epoll_loop {
         // answer `error` instead of dropping the bytes silently.
         if conn.eof && conn.inflight.is_none() && !r.state.is_shutdown() {
             if conn.inbuf.iter().any(|b| !b.is_ascii_whitespace()) {
-                r.state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                rstudy_telemetry::counter("serve.errors", 1);
-                conn.push_response(&error_response(
+                conn.push_response(&line_error(
+                    r.state,
                     &None,
                     "unterminated request: connection closed before the line's newline",
                 ));
             }
             conn.inbuf.clear();
-        }
-    }
-
-    /// One request line → either an immediate response or a worker-pool
-    /// submission recorded as the connection's in-flight check.
-    fn dispatch_line(conn: &mut Conn, line: &str, r: &Reactor<'_>) {
-        let request = match parse_request(line) {
-            Ok(request) => request,
-            Err(e) => {
-                r.state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                rstudy_telemetry::counter("serve.errors", 1);
-                conn.push_response(&error_response(&e.id, &e.message));
-                return;
-            }
-        };
-        match request.command {
-            Command::Shutdown => {
-                r.state.begin_shutdown();
-                conn.push_response(&ResponseBuilder::new(&request.id, "shutdown").finish());
-            }
-            Command::Stats => conn.push_response(&stats_response(&request.id, r.state)),
-            Command::Metrics => conn.push_response(&metrics_response(&request.id, r.state)),
-            Command::Incidents => conn.push_response(&incidents_response(&request.id, r.state)),
-            Command::Check(check) => {
-                let admission = admit_check(r.state);
-                let serial = conn.next_serial;
-                conn.next_serial += 1;
-                let responder = Responder::Completion {
-                    queue: Arc::clone(&r.completions),
-                    token: conn.token,
-                    serial,
-                };
-                match start_check(
-                    &request.id,
-                    admission.trace_id,
-                    check,
-                    r.state,
-                    admission.started,
-                    responder,
-                ) {
-                    CheckStart::Ready(response, outcome) => {
-                        settle_check(r.state, &admission, conn.token, outcome);
-                        conn.push_response(&response);
-                    }
-                    CheckStart::Queued { deadline } => {
-                        conn.inflight = Some(PendingCheck {
-                            serial,
-                            id: request.id,
-                            admission,
-                            deadline,
-                        });
-                    }
-                }
-            }
         }
     }
 }
@@ -1479,208 +1338,129 @@ mod epoll_loop {
 use epoll_loop::event_loop;
 
 // ---------------------------------------------------------------------------
-// Stream (stdin) transport
+// The stdin front end
 // ---------------------------------------------------------------------------
 
 /// Serves one NDJSON stream synchronously: `serve --stdin` mode. Requests
 /// are answered in order; EOF triggers the same graceful drain as a
-/// `shutdown` request. The worker pool and cache behave exactly as in TCP
-/// mode, so piped and socket clients get identical bytes.
+/// `shutdown` request. The dispatch, worker pool and cache are the TCP
+/// mode's, so piped and socket clients get identical bytes. The metrics
+/// endpoint is TCP-only: a config with `metrics_port` set is rejected.
 pub fn serve_stream<R: BufRead, W: Write>(
     config: ServeConfig,
     reader: &mut R,
     writer: &mut W,
 ) -> io::Result<()> {
-    let state = Arc::new(ServerState::new(config)?);
-    // The stdin transport has no `Server::bind`, so the scrape endpoint
-    // (when configured) is bound here; stdout carries NDJSON, so the
-    // bound address is announced on stderr.
-    let metrics_listener = match state.config.metrics_port {
-        Some(p) => {
-            let listener = TcpListener::bind(("127.0.0.1", p))?;
-            if let Ok(addr) = listener.local_addr() {
-                eprintln!("rstudy-serve: metrics on {addr}");
-            }
-            Some(listener)
+    if config.metrics_port.is_some() {
+        return Err(io::Error::new(
+            ErrorKind::InvalidInput,
+            "the metrics endpoint needs the TCP mode; it cannot serve over stdin",
+        ));
+    }
+    let state = ServerState::new(config)?;
+    let (tx, rx) = mpsc::channel();
+    let respond = Responder::Channel(tx);
+    let result = std::thread::scope(|s| {
+        for _ in 0..state.effective_workers() {
+            s.spawn(|| worker_loop(&state));
         }
-        None => None,
-    };
-    let state_ref = &state;
-    let result = std::thread::scope(|s| -> io::Result<()> {
-        for _ in 0..state_ref.effective_workers() {
-            s.spawn(move || worker_loop(state_ref));
-        }
-        if let Some(listener) = metrics_listener.as_ref() {
-            s.spawn(move || metrics_accept_loop(listener, state_ref));
-        }
-        let conn = state_ref.mint_conn_token();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let mut response = handle_line(trimmed, state_ref, conn);
-            response.push('\n');
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
-            if state_ref.is_shutdown() {
-                break;
-            }
-        }
-        state_ref.begin_shutdown();
-        Ok(())
+        let result = stream_loop(&state, reader, writer, &respond, &rx);
+        // Close the queue even if the loop failed, so workers exit.
+        state.begin_shutdown();
+        result
     });
-    // Close the queue even if the I/O loop failed, so workers exit.
-    state.begin_shutdown();
     finish_run(&state);
     result
 }
 
-// ---------------------------------------------------------------------------
-// Poll-transport connection handling
-// ---------------------------------------------------------------------------
-
-fn handle_connection(stream: TcpStream, state: &ServerState) {
+/// Answers each line of `reader` in order until EOF or a `shutdown`
+/// request, blocking on `rx` while a check is with the workers.
+fn stream_loop<R: BufRead, W: Write>(
+    state: &ServerState,
+    reader: &mut R,
+    writer: &mut W,
+    respond: &Responder,
+    rx: &mpsc::Receiver<Completion>,
+) -> io::Result<()> {
     let conn = state.mint_conn_token();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    let _ = read_half.set_read_timeout(Some(POLL_INTERVAL));
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    // `line` persists across read timeouts: a timeout mid-line keeps the
-    // partial content and the next read appends to it.
     let mut line = String::new();
     loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            return Ok(());
+        }
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        let mut response = match dispatch(trimmed, state, conn, respond) {
+            Dispatch::Answer(response) => response,
+            Dispatch::Queued(pending) => {
+                let done = await_completion(rx, &pending);
+                pending.settle(state, conn, done)
+            }
+        };
+        response.push('\n');
+        writer.write_all(response.as_bytes())?;
+        writer.flush()?;
         if state.is_shutdown() {
-            return;
-        }
-        match reader.read_line(&mut line) {
-            Ok(0) => {
-                // EOF with a buffered fragment (read across an earlier
-                // timeout) that never got its newline: answer a
-                // structured error rather than dropping it silently.
-                if !line.trim().is_empty() {
-                    state.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    rstudy_telemetry::counter("serve.errors", 1);
-                    let _ = write_line(
-                        &mut writer,
-                        error_response(
-                            &None,
-                            "unterminated request: connection closed before the line's newline",
-                        ),
-                    );
-                }
-                return;
-            }
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let response = handle_line(trimmed, state, conn);
-                    if write_line(&mut writer, response).is_err() {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
+            return Ok(());
         }
     }
 }
 
-/// Writes one response frame — payload and newline in a single buffer,
-/// hence a single `write(2)`. Two separate writes would let Nagle hold
-/// the 1-byte newline for the ACK of the payload (~40 ms stalls).
-fn write_line(writer: &mut impl Write, mut response: String) -> io::Result<()> {
-    response.push('\n');
-    writer.write_all(response.as_bytes())?;
-    writer.flush()
-}
-
-// ---------------------------------------------------------------------------
-// Metrics endpoint (portable fallback; the epoll transport multiplexes
-// the same listener onto its event loop instead)
-// ---------------------------------------------------------------------------
-
-/// Accepts and answers scrape connections on a [`POLL_INTERVAL`] cadence
-/// until shutdown. Requests are tiny and responses are one buffer, so a
-/// single blocking thread is plenty for a scrape-rate workload.
-fn metrics_accept_loop(listener: &TcpListener, state: &ServerState) {
-    let _ = listener.set_nonblocking(true);
-    while !state.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _peer)) => serve_metrics_conn(stream, state),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+/// Blocks until the worker delivers `pending`'s completion, or returns
+/// `None` at its deadline. A completion for an earlier check, one already
+/// answered `timeout`, is skipped.
+fn await_completion(rx: &mpsc::Receiver<Completion>, pending: &PendingCheck) -> Option<Completion> {
+    loop {
+        let done = match pending.deadline {
+            None => rx.recv().expect("the stdin loop holds a sender"),
+            Some(d) => rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .ok()?,
+        };
+        if done.trace_id == pending.admission.trace_id {
+            return Some(done);
         }
     }
 }
 
-/// Reads one HTTP request head (bounded wait, bounded size) and writes
-/// the one-shot response. `Connection: close` semantics: the stream drops
-/// at the end either way.
-fn serve_metrics_conn(mut stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_nodelay(true);
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while !obs::http_head_complete(&buf) && buf.len() < 64 * 1024 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-    let head = obs::http_head_line(&buf);
-    let response = obs::http_response(&head, !state.is_shutdown(), || prometheus_exposition(state));
-    let _ = stream.write_all(&response);
+// ---------------------------------------------------------------------------
+// Request dispatch (shared by both front ends)
+// ---------------------------------------------------------------------------
+
+/// What [`dispatch`] made of one request line.
+enum Dispatch {
+    /// The answer, ready to send.
+    Answer(String),
+    /// A check now with the worker pool. The front end waits for the
+    /// completion its [`Responder`] delivers, or for the deadline, and
+    /// closes it with [`PendingCheck::settle`].
+    Queued(PendingCheck),
 }
 
-// ---------------------------------------------------------------------------
-// Request dispatch (shared by every transport)
-// ---------------------------------------------------------------------------
-
-/// Dispatches one request line to a response line, blocking until the
-/// response is ready (poll and stdin transports). Infallible by design:
-/// every failure mode becomes a structured response. `conn` is the
-/// connection token recorded in access-log lines.
-fn handle_line(line: &str, state: &ServerState, conn: u64) -> String {
+/// Turns one request line into its answer, or into a check queued for the
+/// worker pool: request parse, protocol errors, control commands, and
+/// admission. Infallible by design: every failure mode becomes a
+/// structured response. `conn` is the connection token recorded in
+/// access-log lines; `respond` is where the workers deliver a queued check.
+fn dispatch(line: &str, state: &ServerState, conn: u64, respond: &Responder) -> Dispatch {
     let request = match parse_request(line) {
         Ok(r) => r,
-        Err(e) => {
-            state.stats.errors.fetch_add(1, Ordering::Relaxed);
-            rstudy_telemetry::counter("serve.errors", 1);
-            return error_response(&e.id, &e.message);
-        }
+        Err(e) => return Dispatch::Answer(line_error(state, &e.id, &e.message)),
     };
-    match request.command {
+    let id = &request.id;
+    Dispatch::Answer(match request.command {
         Command::Shutdown => {
             state.begin_shutdown();
-            ResponseBuilder::new(&request.id, "shutdown").finish()
+            ResponseBuilder::new(id, "shutdown").finish()
         }
-        Command::Stats => stats_response(&request.id, state),
-        Command::Metrics => metrics_response(&request.id, state),
-        Command::Incidents => incidents_response(&request.id, state),
-        Command::Check(check) => handle_check(&request.id, check, state, conn),
-    }
+        Command::Stats => stats_response(id, state),
+        Command::Metrics => metrics_response(id, state),
+        Command::Incidents => incidents_response(id, state),
+        Command::Check(check) => return start_check(request.id, check, state, conn, respond),
+    })
 }
 
 fn stats_response(id: &Option<Value>, state: &ServerState) -> String {
@@ -1976,18 +1756,31 @@ fn admit_check(state: &ServerState) -> Admission {
     Admission { trace_id, started }
 }
 
-/// Records the request's latency, retires it from the in-flight count,
-/// and — being the exactly-once point on every answer path — feeds the
-/// flight recorder and writes the access-log line.
+/// Closes out an admitted check, exactly once, whichever path answered
+/// it: counts the status of the response sent, records its latency,
+/// retires it from the in-flight count, and feeds the flight recorder and
+/// the access log.
 fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: RequestOutcome) {
+    let stats = &state.stats;
+    let (tally, mirror) = match outcome.status {
+        Status::Ok => (&stats.ok, None),
+        Status::Error => (&stats.errors, Some("serve.errors")),
+        Status::Timeout => (&stats.timeouts, Some("serve.timeouts")),
+        Status::Overloaded => (&stats.overloaded, Some("serve.overloaded")),
+    };
+    tally.fetch_add(1, Ordering::Relaxed);
+    if let Some(name) = mirror {
+        rstudy_telemetry::counter(name, 1);
+    }
     let elapsed_ns = admission.started.elapsed().as_nanos() as u64;
     state.latency_ns.record(elapsed_ns);
     state.inflight.fetch_sub(1, Ordering::Relaxed);
     rstudy_telemetry::record("serve.request_ns", elapsed_ns);
     let trace_id = admission.trace_id;
+    let status = outcome.status.as_str();
     state.flight.record(
         trace_id,
-        outcome.status,
+        status,
         outcome.panicked,
         elapsed_ns,
         outcome.stages,
@@ -1998,7 +1791,7 @@ fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: 
                 conn,
                 trace_id,
                 "check",
-                outcome.status,
+                status,
                 outcome.cache,
                 outcome.queue_ns,
                 outcome.analysis_ns,
@@ -2010,89 +1803,61 @@ fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: 
     rstudy_telemetry::trace(|| format!("serve: request {trace_id} answered in {elapsed_ns} ns"));
 }
 
-/// What [`start_check`] did with the request.
-enum CheckStart {
-    /// Answered without worker involvement: a validation error, a cache
-    /// hit, shed load, or a draining server.
-    Ready(String, RequestOutcome),
-    /// Submitted to the worker pool; the [`Responder`] delivers the
-    /// response, and `deadline` bounds the wait.
-    Queued { deadline: Option<Instant> },
+/// The `error` answer for a line that never became a check (unparsable,
+/// or cut off at EOF). No [`settle_check`] sees it, so it counts here.
+fn line_error(state: &ServerState, id: &Option<Value>, message: &str) -> String {
+    state.stats.errors.fetch_add(1, Ordering::Relaxed);
+    rstudy_telemetry::counter("serve.errors", 1);
+    error_response(id, message)
 }
 
-/// The blocking check path (poll and stdin transports): admit, start,
-/// wait for the responder's channel, settle.
-fn handle_check(id: &Option<Value>, check: CheckRequest, state: &ServerState, conn: u64) -> String {
-    let admission = admit_check(state);
-    let (respond, reply) = mpsc::channel();
-    let (response, outcome) = match start_check(
-        id,
-        admission.trace_id,
-        check,
-        state,
-        admission.started,
-        Responder::Channel(respond),
-    ) {
-        CheckStart::Ready(response, outcome) => (response, outcome),
-        CheckStart::Queued { deadline } => {
-            await_reply(id, admission.trace_id, state, deadline, &reply)
-        }
-    };
-    settle_check(state, &admission, conn, outcome);
-    response
-}
-
-/// Blocks on the worker's reply channel until the response or the
-/// request deadline, whichever comes first.
-fn await_reply(
-    id: &Option<Value>,
-    trace_id: u64,
-    state: &ServerState,
+/// An admitted check that is with the worker pool and not yet answered.
+struct PendingCheck {
+    id: Option<Value>,
+    admission: Admission,
     deadline: Option<Instant>,
-    reply: &mpsc::Receiver<(String, RequestOutcome)>,
-) -> (String, RequestOutcome) {
-    let fail = |msg: &str| {
-        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-        rstudy_telemetry::counter("serve.errors", 1);
-        (error_response(id, msg), RequestOutcome::inline("error"))
-    };
-    match deadline {
-        None => reply
-            .recv()
-            .unwrap_or_else(|_| fail("internal error: worker exited")),
-        Some(deadline) => {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            match reply.recv_timeout(wait) {
-                Ok(answer) => answer,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    state.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    rstudy_telemetry::counter("serve.timeouts", 1);
-                    (
-                        timeout_response(id, trace_id, state),
-                        RequestOutcome::timeout(),
-                    )
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => fail("internal error: worker exited"),
-            }
-        }
+}
+
+impl PendingCheck {
+    /// Closes the check out with its worker's completion, or as `timeout`
+    /// when the deadline came first (`None`); returns the response to send.
+    fn settle(self, state: &ServerState, conn: u64, done: Option<Completion>) -> String {
+        let (response, outcome) = match done {
+            Some(done) => (done.response, done.outcome),
+            None => (
+                timeout_response(&self.id, self.admission.trace_id, state),
+                RequestOutcome::inline(Status::Timeout),
+            ),
+        };
+        settle_check(state, &self.admission, conn, outcome);
+        response
     }
 }
 
-/// Everything before waiting: resolve the program source, canonicalize
-/// detectors, consult the cache, and submit to the bounded queue. Never
-/// blocks, so the epoll loop calls it directly.
+/// Admits a check and does everything before waiting: resolve the
+/// program source, canonicalize detectors, consult the cache, and submit
+/// to the bounded queue. A check answered here (a validation error, a
+/// cache hit, shed load, a draining server) is settled here; a queued one
+/// is left to the front end. Never blocks, so the epoll loop calls it
+/// directly.
 fn start_check(
-    id: &Option<Value>,
-    trace_id: u64,
+    id: Option<Value>,
     check: CheckRequest,
     state: &ServerState,
-    started: Instant,
-    respond: Responder,
-) -> CheckStart {
+    conn: u64,
+    respond: &Responder,
+) -> Dispatch {
+    let admission = admit_check(state);
+    let Admission { trace_id, started } = admission;
+    let answer = |response: String, outcome| {
+        settle_check(state, &admission, conn, outcome);
+        Dispatch::Answer(response)
+    };
     let fail = |msg: String| {
-        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-        rstudy_telemetry::counter("serve.errors", 1);
-        CheckStart::Ready(error_response(id, &msg), RequestOutcome::inline("error"))
+        answer(
+            error_response(&id, &msg),
+            RequestOutcome::inline(Status::Error),
+        )
     };
 
     let program_text = match &check.source {
@@ -2119,10 +1884,9 @@ fn start_check(
         if let Ok(report) = serde_json::from_str::<Value>(&report_json) {
             rstudy_telemetry::counter("serve.cache.hits", 1);
             rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache hit"));
-            state.stats.ok.fetch_add(1, Ordering::Relaxed);
-            return CheckStart::Ready(
+            return answer(
                 ok_response(
-                    id,
+                    &id,
                     trace_id,
                     Timing {
                         queue_ns: 0,
@@ -2158,7 +1922,7 @@ fn start_check(
         accepted_at: started,
         enqueued_at: Instant::now(),
         deadline,
-        respond,
+        respond: respond.clone(),
     };
     match state.queue.push(job) {
         Ok(depth) => {
@@ -2166,23 +1930,25 @@ fn start_check(
             rstudy_telemetry::trace(|| {
                 format!("serve: request {trace_id} enqueued at depth {depth}")
             });
-            CheckStart::Queued { deadline }
+            Dispatch::Queued(PendingCheck {
+                id,
+                admission,
+                deadline,
+            })
         }
         Err(PushError::Full) => {
-            state.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-            rstudy_telemetry::counter("serve.overloaded", 1);
             rstudy_telemetry::trace(|| format!("serve: request {trace_id} shed (queue full)"));
-            CheckStart::Ready(
+            answer(
                 degraded_response_traced(
-                    id,
+                    &id,
                     trace_id,
-                    "overloaded",
+                    Status::Overloaded,
                     &format!(
                         "queue full ({} pending analyses); retry later",
                         state.config.queue_depth
                     ),
                 ),
-                RequestOutcome::inline("overloaded"),
+                RequestOutcome::inline(Status::Overloaded),
             )
         }
         Err(PushError::Closed) => fail("server is shutting down".to_owned()),
@@ -2193,7 +1959,7 @@ fn timeout_response(id: &Option<Value>, trace_id: u64, state: &ServerState) -> S
     degraded_response_traced(
         id,
         trace_id,
-        "timeout",
+        Status::Timeout,
         &format!(
             "deadline of {} ms exceeded; the analysis keeps running but its result is discarded",
             state.config.timeout_ms.unwrap_or(0)
@@ -2206,10 +1972,10 @@ fn timeout_response(id: &Option<Value>, trace_id: u64, state: &ServerState) -> S
 fn degraded_response_traced(
     id: &Option<Value>,
     trace_id: u64,
-    status: &str,
+    status: Status,
     message: &str,
 ) -> String {
-    ResponseBuilder::new(id, status)
+    ResponseBuilder::new(id, status.as_str())
         .field("trace_id", Value::UInt(trace_id))
         .field("error", Value::Str(message.to_owned()))
         .finish()
@@ -2308,7 +2074,11 @@ fn worker_loop(state: &ServerState) {
     while let Some(job) = state.queue.pop() {
         let _span = rstudy_telemetry::span("serve.worker");
         let (response, outcome) = run_job(&job, state);
-        job.respond.deliver(response, outcome);
+        job.respond.deliver(Completion {
+            trace_id: job.trace_id,
+            response,
+            outcome,
+        });
     }
 }
 
@@ -2327,7 +2097,7 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         end_ns: off(started),
     }];
     let outcome =
-        |status: &'static str, cache, analysis_ns, panicked, stages: Vec<Stage>| RequestOutcome {
+        |status: Status, cache, analysis_ns, panicked, stages: Vec<Stage>| RequestOutcome {
             status,
             cache,
             queue_ns,
@@ -2353,20 +2123,17 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         });
     }
     // A deadline that expired while the job sat in the queue (or slept)
-    // skips the analysis entirely — the waiter has already answered
-    // `timeout`, so running would only waste a worker.
+    // skips the analysis entirely — running would only waste a worker.
+    // Whichever `timeout` answer reaches the front end first is the one
+    // settled and counted.
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         return (
             timeout_response(&job.id, job.trace_id, state),
-            outcome("timeout", None, 0, false, stages),
+            outcome(Status::Timeout, None, 0, false, stages),
         );
     }
 
-    let fail = |msg: String| {
-        state.stats.errors.fetch_add(1, Ordering::Relaxed);
-        rstudy_telemetry::counter("serve.errors", 1);
-        error_response(&job.id, &msg)
-    };
+    let fail = |msg: String| error_response(&job.id, &msg);
 
     let config = if job.naive {
         DetectorConfig::naive()
@@ -2375,7 +2142,7 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     };
     let suite = match DetectorSuite::with_only(&job.detectors) {
         Ok(s) => s.with_jobs(job.jobs).with_config(config),
-        Err(e) => return (fail(e), outcome("error", None, 0, false, stages)),
+        Err(e) => return (fail(e), outcome(Status::Error, None, 0, false, stages)),
     };
     // Parse, validate and the suite share one `catch_unwind`: a panic on
     // any input answers `error` and leaves this worker serving.
@@ -2409,11 +2176,11 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     }
     let (report, timings) = match analyzed {
         Ok(Ok(r)) => r,
-        Ok(Err(msg)) => return (fail(msg), outcome("error", None, 0, false, stages)),
+        Ok(Err(msg)) => return (fail(msg), outcome(Status::Error, None, 0, false, stages)),
         Err(_) => {
             return (
                 fail("internal error: the analysis panicked".to_owned()),
-                outcome("error", None, parse_ns, true, stages),
+                outcome(Status::Error, None, parse_ns, true, stages),
             )
         }
     };
@@ -2429,7 +2196,6 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         serde_json::to_string(&report_value).expect("report serialization cannot fail");
     let _ = state.cache.put(job.key, &report_json);
 
-    state.stats.ok.fetch_add(1, Ordering::Relaxed);
     (
         ok_response(
             &job.id,
@@ -2444,7 +2210,7 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
                 .then(|| trace_value(started, Some((parse_ns, check_ns)))),
             report_value,
         ),
-        outcome("ok", Some("miss"), analysis_ns, false, stages),
+        outcome(Status::Ok, Some("miss"), analysis_ns, false, stages),
     )
 }
 
@@ -2529,18 +2295,7 @@ fn main() -> int {
         assert!(canonical_detectors(Some(&["bogus".into()])).is_err());
     }
 
-    #[test]
-    fn transport_parses_and_defaults_per_platform() {
-        assert_eq!("poll".parse::<Transport>(), Ok(Transport::Poll));
-        assert_eq!("epoll".parse::<Transport>(), Ok(Transport::Epoll));
-        assert!("kqueue".parse::<Transport>().is_err());
-        if cfg!(target_os = "linux") {
-            assert_eq!(Transport::default(), Transport::Epoll);
-        } else {
-            assert_eq!(Transport::default(), Transport::Poll);
-        }
-    }
-
+    #[cfg(target_os = "linux")]
     #[test]
     fn accept_errors_are_classified() {
         use std::io::Error;

@@ -152,16 +152,16 @@ USAGE:
   rust-safety-study loadgen [LOADGEN FLAGS]      replay corpus programs against a server
 
 SERVE FLAGS:
-  --port <N>            TCP port on 127.0.0.1 (default 0 = kernel-assigned; printed)
-  --stdin               serve one request per stdin line instead of TCP
+  --port <N>            TCP port on 127.0.0.1 (default 0 = kernel-assigned; printed);
+                        the TCP mode needs Linux
+  --stdin               serve one request per stdin line instead of TCP (portable)
   --cache-dir <path>    persist the result cache on disk across restarts
   --timeout-ms <N>      per-request deadline; exceeding it answers `timeout`
   --workers <N>         analysis worker threads (default: all cores)
   --queue-depth <N>     bounded queue capacity; overflow answers `overloaded` (default 64)
-  --transport <T>       connection handling: `epoll` (event-driven, Linux default)
-                        or `poll` (portable 25 ms polling fallback)
   --metrics-port <N>    also serve `GET /metrics` (Prometheus text) and
-                        `GET /healthz` on 127.0.0.1:<N> (0 = kernel-assigned)
+                        `GET /healthz` on 127.0.0.1:<N> (0 = kernel-assigned);
+                        TCP mode only, not with --stdin
   --access-log <path>   append one JSON line per completed request
   --access-log-sample <N>  log every Nth request only (default 1 = all)
   --slow-ms <N>         promote requests slower than N ms into the flight
@@ -180,7 +180,6 @@ LOADGEN FLAGS:
   --mix <a,b,...>       corpus program names to cycle through
   --manifest <path>     replay lowered programs from an ingest manifest
                         (--mix then selects root-relative file paths in it)
-  --transport <T>       transport for the in-process server: `epoll` or `poll`
   --out <path>          latency/throughput report (default BENCH_serve.json)
   --suite-out <path>    also run the offline suite benchmark (BENCH_suite.json)
   --scrape              scrape `/metrics` mid-run and embed the cross-check
@@ -403,9 +402,7 @@ fn cmd_ingest(args: &mut Vec<String>) -> ExitCode {
 /// Parses and runs the `serve` subcommand. `default_jobs` is the global
 /// `--jobs` value (0 = auto), applied to requests that omit `jobs`.
 fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
-    use rust_safety_study::serve::{
-        install_sigint_handler, serve_stream, ServeConfig, Server, Transport,
-    };
+    use rust_safety_study::serve::{install_sigint_handler, serve_stream, ServeConfig, Server};
 
     fn positive(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
         match take_value(args, name)? {
@@ -429,14 +426,11 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
         let workers = positive(args, "--workers")?.unwrap_or(0) as usize;
         let queue_depth = positive(args, "--queue-depth")?.unwrap_or(64) as usize;
         let cache_dir = take_value(args, "--cache-dir")?.map(std::path::PathBuf::from);
-        let transport = match take_value(args, "--transport")? {
-            None => Transport::default(),
-            Some(s) => s
-                .parse::<Transport>()
-                .map_err(|e| format!("--transport: {e}"))?,
-        };
         let metrics_port = match take_value(args, "--metrics-port")? {
             None => None,
+            Some(_) if stdin_mode => {
+                return Err("--metrics-port needs the TCP mode (--port); drop --stdin".to_owned())
+            }
             Some(s) => Some(
                 s.parse::<u16>()
                     .map_err(|_| format!("--metrics-port: expected a port number, got `{s}`"))?,
@@ -454,7 +448,6 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
             workers,
             queue_depth,
             cache_dir,
-            transport,
             metrics_port,
             access_log,
             access_log_sample,
@@ -467,7 +460,6 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
         workers,
         queue_depth,
         cache_dir,
-        transport,
         metrics_port,
         access_log,
         access_log_sample,
@@ -485,7 +477,6 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
         timeout_ms,
         cache_dir,
         default_jobs,
-        transport,
         metrics_port,
         access_log,
         access_log_sample,
@@ -568,9 +559,6 @@ fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
         }
         if let Some(s) = take_value(args, "--manifest")? {
             config.manifest = Some(std::path::PathBuf::from(s));
-        }
-        if let Some(s) = take_value(args, "--transport")? {
-            config.transport = s.parse().map_err(|e| format!("--transport: {e}"))?;
         }
         config.scrape = take_flag(args, "--scrape");
         if let Some(s) = take_value(args, "--scrape-addr")? {

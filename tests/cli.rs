@@ -364,6 +364,8 @@ fn loadgen_flag_validation_is_a_usage_error() {
         &["loadgen", "--connections", "0"][..],
         &["loadgen", "--addr", "not-an-addr"][..],
         &["loadgen", "stray-arg"][..],
+        // `--transport` is not an option: a stray argument.
+        &["loadgen", "--transport", "poll"][..],
     ] {
         let out = bin().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -406,16 +408,25 @@ fn loadgen_writes_bench_serve_json_and_succeeds() {
 
 #[test]
 fn serve_flag_validation_is_a_usage_error() {
-    // `--jobs 0` is rejected for serve exactly as for check.
-    for args in [
-        &["serve", "--jobs", "0"][..],
-        &["serve", "--port", "notaport"][..],
-        &["serve", "--timeout-ms", "0"][..],
-        &["serve", "--queue-depth", "0"][..],
-        &["serve", "--workers", "0"][..],
-        &["serve", "stray-arg"][..],
+    // Each row: the arguments, and what the error line (printed before
+    // the usage text) must name.
+    for (args, names) in [
+        // `--jobs 0` is rejected for serve exactly as for check.
+        (&["serve", "--jobs", "0"][..], "--jobs"),
+        (&["serve", "--port", "notaport"][..], "--port"),
+        (&["serve", "--timeout-ms", "0"][..], "--timeout-ms"),
+        (&["serve", "--queue-depth", "0"][..], "--queue-depth"),
+        (&["serve", "--workers", "0"][..], "--workers"),
+        (&["serve", "stray-arg"][..], "stray-arg"),
+        // `--transport` is not an option: a stray argument.
+        (&["serve", "--transport", "epoll"][..], "--transport"),
+        // The scrape endpoint lives on the TCP event loop only.
+        (&["serve", "--stdin", "--metrics-port", "0"][..], "TCP mode"),
     ] {
         let out = bin().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.contains(names), "{args:?}: {error}");
     }
 }

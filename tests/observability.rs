@@ -151,6 +151,50 @@ fn prom_series(body: &str, name: &str) -> BTreeMap<String, u64> {
     series
 }
 
+/// Every check answered `timeout` is counted as one, in `stats` and in
+/// the exposition alike, also when the worker notices the expired
+/// deadline before the I/O thread's timer does. With `delay_ms` equal to
+/// the deadline, that is the usual order.
+#[test]
+fn every_timed_out_check_counts_one_timeout() {
+    const CHECKS: u64 = 5;
+    let (addr, maddr, handle, join) = boot_obs(ServeConfig {
+        workers: 2,
+        timeout_ms: Some(50),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    for i in 0..CHECKS {
+        let program = clean_program(9000 + i as u32);
+        let resp = client.round_trip(&check_request(
+            &format!("t{i}"),
+            &program,
+            r#","delay_ms":50"#,
+        ));
+        assert_eq!(status(&resp), "timeout", "{resp:?}");
+    }
+
+    let reply = client.round_trip(r#"{"id":"s","cmd":"stats"}"#);
+    let stats = reply.get("stats").expect("stats object");
+    let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(u64::MAX);
+    assert_eq!(count("requests"), CHECKS, "{reply:?}");
+    assert_eq!(count("timeouts"), CHECKS, "{reply:?}");
+    let answered: u64 = ["ok", "errors", "timeouts", "overloaded"]
+        .into_iter()
+        .map(count)
+        .sum();
+    assert_eq!(answered, CHECKS, "each check answered once: {reply:?}");
+
+    let responses = prom_series(&scrape(maddr), "rstudy_responses_total");
+    assert_eq!(
+        responses.get("status=\"timeout\""),
+        Some(&CHECKS),
+        "{responses:?}"
+    );
+    handle.begin_shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn scrape_exposes_request_counters_and_histograms() {
     let (addr, maddr, handle, join) = boot_obs(ServeConfig::default());

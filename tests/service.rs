@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use rust_safety_study::serve::{ServeConfig, Server, ServerHandle};
+use rust_safety_study::serve::{serve_stream, ServeConfig, Server, ServerHandle};
 use rust_safety_study::telemetry;
 use serde::Value;
 
@@ -237,6 +237,129 @@ fn timeout_answers_structured_response_and_server_keeps_serving() {
     assert_eq!(status(&fresh), "ok", "{fresh:?}");
     handle.begin_shutdown();
     join.join().unwrap();
+}
+
+/// A reverse-ordered chain of `links` raw-pointer copies, one per block,
+/// with the blocks laid out opposite to their execution order: the
+/// points-to solver then needs a pass per link, so analysis time grows
+/// with the square of `links`.
+fn reverse_pointer_chain(links: usize) -> String {
+    use std::fmt::Write as _;
+    let mut text = String::from("fn main() -> int {\n    let _1 as x: int;\n");
+    for k in 0..=links {
+        let _ = writeln!(text, "    let _{}: *const int;", k + 2);
+    }
+    let r = links + 3;
+    let _ = writeln!(text, "    let _{r} as r: int;");
+    // Block 0 is the entry, link `i` sits in block `links - i`, and block
+    // `links + 1` is the exit.
+    let mut blocks = vec![Vec::new(); links + 2];
+    blocks[0] = vec![
+        "StorageLive(_1)".to_owned(),
+        "_1 = const 7".to_owned(),
+        "_2 = &raw const _1".to_owned(),
+        format!("goto -> bb{links}"),
+    ];
+    for i in 0..links {
+        let next = if i + 1 < links {
+            links - i - 1
+        } else {
+            links + 1
+        };
+        blocks[links - i] = vec![
+            format!("_{} = _{}", i + 3, i + 2),
+            format!("goto -> bb{next}"),
+        ];
+    }
+    blocks[links + 1] = vec![
+        format!("unsafe _{r} = (*_{})", links + 2),
+        format!("_0 = _{r}"),
+        "return".to_owned(),
+    ];
+    for (b, stmts) in blocks.iter().enumerate() {
+        let _ = writeln!(text, "\n    bb{b}: {{");
+        for stmt in stmts {
+            let _ = writeln!(text, "        {stmt};");
+        }
+        text.push_str("    }\n");
+    }
+    text.push_str("}\n");
+    text
+}
+
+/// Drives one check whose analysis outlives its 20 ms deadline through
+/// `round_trip` (either front end): it is answered `timeout` and counted
+/// once as such, and its late report is cached but never counted `ok`.
+fn late_analysis_counts_only_the_timeout(mut round_trip: impl FnMut(&str) -> Value) {
+    // 2,000 links take about a second unoptimized and 0.1 s optimized:
+    // far past the deadline either way. One suite thread keeps the late
+    // analysis from crowding the tests running beside it.
+    let late = round_trip(&check_request(
+        "late",
+        &reverse_pointer_chain(2000),
+        r#","jobs":1"#,
+    ));
+    assert_eq!(status(&late), "timeout", "{late:?}");
+    let mut stats = || {
+        let reply = round_trip(r#"{"id":"s","cmd":"stats"}"#);
+        reply.get("stats").cloned().expect("stats object")
+    };
+    let count = |stats: &Value, name: &str| stats.get(name).and_then(Value::as_u64);
+    let give_up = std::time::Instant::now() + Duration::from_secs(120);
+    loop {
+        let now = stats();
+        if count(&now, "cache_mem_entries") == Some(1) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < give_up,
+            "the late report never reached the cache: {now:?}"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    // Give the stale completion time to reach the front end.
+    thread::sleep(Duration::from_millis(50));
+    let last = stats();
+    assert_eq!(count(&last, "requests"), Some(1), "{last:?}");
+    assert_eq!(count(&last, "timeouts"), Some(1), "{last:?}");
+    assert_eq!(count(&last, "ok"), Some(0), "{last:?}");
+}
+
+#[test]
+fn late_analysis_counts_only_the_timeout_over_tcp() {
+    let (addr, handle, join) = boot(ServeConfig {
+        workers: 1,
+        timeout_ms: Some(20),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    late_analysis_counts_only_the_timeout(|line| client.round_trip(line));
+    drop(client);
+    handle.begin_shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn late_analysis_counts_only_the_timeout_over_stdin() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rust-safety-study"))
+        .args(["serve", "--stdin", "--timeout-ms", "20", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn serve --stdin");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    late_analysis_counts_only_the_timeout(|line| {
+        writeln!(stdin, "{line}").unwrap();
+        stdin.flush().unwrap();
+        let mut reply = String::new();
+        stdout.read_line(&mut reply).expect("read response");
+        serde_json::from_str(reply.trim()).unwrap_or_else(|e| panic!("bad response {reply:?}: {e}"))
+    });
+    drop(stdin); // EOF = graceful drain
+    let status = child.wait().expect("serve exits");
+    assert!(status.success(), "{status:?}");
 }
 
 #[test]
@@ -629,4 +752,18 @@ fn stdin_mode_pipes_requests_through_the_binary() {
     assert_eq!(lines.len(), 2, "{text}");
     assert!(lines[0].contains(r#""cached":false"#), "{}", lines[0]);
     assert!(lines[1].contains(r#""cached":true"#), "{}", lines[1]);
+}
+
+/// A stdin stream that is not UTF-8 ends `serve --stdin` with an error,
+/// after closing the queue so the workers exit instead of waiting on it.
+#[test]
+fn stdin_mode_ends_with_an_error_on_invalid_utf8() {
+    let mut input = std::io::Cursor::new(b"\xff\xfe\n".to_vec());
+    let config = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let err = serve_stream(config, &mut input, &mut Vec::new())
+        .expect_err("a line that is not UTF-8 is an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }

@@ -1,8 +1,8 @@
-//! Transport-layer tests for the analysis service: poll-vs-epoll
+//! Transport-layer tests for the analysis service: stdin-vs-TCP
 //! equivalence, the latency floor the event-driven transport must hold,
 //! partial-line reassembly, pipelining, the unterminated-request error at
-//! EOF, and (on Linux) the no-busy-wakeups guarantee for idle
-//! connections.
+//! EOF, and (on Linux) the no-busy-wakeups guarantees for idle
+//! connections and for listeners backing off when descriptors run out.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -10,20 +10,22 @@ use std::thread;
 use std::time::Duration;
 
 use rust_safety_study::serve::loadgen::{self, LoadgenConfig};
-use rust_safety_study::serve::{ServeConfig, Server, ServerHandle, Transport};
+use rust_safety_study::serve::{serve_stream, ServeConfig, Server, ServerHandle};
 use serde::Value;
 
 fn mir_path(name: &str) -> String {
     format!("{}/examples/mir/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
-fn boot(transport: Transport) -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
-    let config = ServeConfig {
+fn config() -> ServeConfig {
+    ServeConfig {
         workers: 2,
-        transport,
         ..ServeConfig::default()
-    };
-    let server = Server::bind(0, config).expect("bind");
+    }
+}
+
+fn boot() -> (SocketAddr, ServerHandle, thread::JoinHandle<()>) {
+    let server = Server::bind(0, config()).expect("bind");
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let join = thread::spawn(move || server.run().expect("server run"));
@@ -80,13 +82,13 @@ fn shutdown_server(addr: SocketAddr, join: thread::JoinHandle<()>) {
 }
 
 /// Removes the measured (hence nondeterministic) fields from a response,
-/// leaving everything the two transports must agree on byte-for-byte.
+/// leaving everything the two front ends must agree on byte-for-byte.
 fn strip_measured(v: &Value) -> Value {
     match v {
         Value::Map(entries) => Value::Map(
             entries
                 .iter()
-                .filter(|(k, _)| k != "timing")
+                .filter(|(k, _)| k != "timing" && k != "uptime_ms")
                 .map(|(k, inner)| (k.clone(), strip_measured(inner)))
                 .collect(),
         ),
@@ -94,11 +96,12 @@ fn strip_measured(v: &Value) -> Value {
     }
 }
 
-/// The serve-smoke corpus (the same fixtures ci.sh fires) must get
-/// byte-identical responses from both transports, measured timings aside:
-/// same statuses, same reports, same trace ids, same cache behavior.
+/// The serve-smoke corpus (the same fixtures ci.sh fires), a repeat and a
+/// trailing `stats` must get byte-identical answers from `serve --stdin`
+/// and from the TCP transport, measured timings aside: same statuses,
+/// same reports, same trace ids, same cache behavior, same counters.
 #[test]
-fn poll_and_epoll_answer_byte_identical_responses() {
+fn stdin_and_tcp_answer_byte_identical_responses() {
     let requests = [
         format!(
             r#"{{"id":"clean","path":"{}"}}"#,
@@ -112,35 +115,48 @@ fn poll_and_epoll_answer_byte_identical_responses() {
             r#"{{"id":"malformed","path":"{}"}}"#,
             mir_path("serve_smoke_malformed.mir")
         ),
-        // The repeat must be a cache hit on both transports.
+        // The repeat must be a cache hit in both modes.
         format!(
             r#"{{"id":"repeat","path":"{}"}}"#,
             mir_path("serve_smoke_clean.mir")
         ),
+        r#"{"id":"s","cmd":"stats"}"#.to_owned(),
     ];
+    let normalize =
+        |v: &Value| serde_json::to_string(&strip_measured(v)).expect("serialize response");
 
-    let answers = |transport: Transport| -> Vec<String> {
-        let (addr, _handle, join) = boot(transport);
+    let tcp: Vec<String> = {
+        let (addr, _handle, join) = boot();
         let mut client = Client::connect(addr);
         let answers = requests
             .iter()
-            .map(|req| {
-                serde_json::to_string(&strip_measured(&client.round_trip(req)))
-                    .expect("serialize response")
-            })
+            .map(|req| normalize(&client.round_trip(req)))
             .collect();
         drop(client);
         shutdown_server(addr, join);
         answers
     };
+    let stdin: Vec<String> = {
+        let mut input = std::io::Cursor::new(requests.join("\n") + "\n");
+        let mut out = Vec::new();
+        serve_stream(config(), &mut input, &mut out).expect("serve stdin");
+        let text = String::from_utf8(out).expect("UTF-8 responses");
+        text.lines()
+            .map(|line| {
+                normalize(
+                    &serde_json::from_str(line)
+                        .unwrap_or_else(|e| panic!("bad response {line:?}: {e}")),
+                )
+            })
+            .collect()
+    };
 
-    let poll = answers(Transport::Poll);
-    let epoll = answers(Transport::Epoll);
-    assert_eq!(poll.len(), epoll.len());
-    for (p, e) in poll.iter().zip(&epoll) {
-        assert_eq!(p, e);
+    assert_eq!(stdin.len(), requests.len(), "{stdin:?}");
+    for (s, t) in stdin.iter().zip(&tcp) {
+        assert_eq!(s, t);
     }
-    assert!(poll[3].contains(r#""cached":true"#), "{}", poll[3]);
+    assert!(tcp[3].contains(r#""cached":true"#), "{}", tcp[3]);
+    assert!(tcp[4].contains(r#""requests":4"#), "{}", tcp[4]);
 }
 
 /// The latency regression the tentpole fixes: the PR 4 baseline measured
@@ -153,7 +169,6 @@ fn epoll_latency_p50_stays_under_regression_bound() {
     let config = LoadgenConfig {
         requests: 40,
         connections: 4,
-        transport: Transport::Epoll,
         ..LoadgenConfig::default()
     };
     let report = loadgen::run(&config).expect("loadgen run");
@@ -172,7 +187,7 @@ fn epoll_latency_p50_stays_under_regression_bound() {
 /// exactly once.
 #[test]
 fn dripped_request_bytes_are_reassembled() {
-    let (addr, _handle, join) = boot(Transport::Epoll);
+    let (addr, _handle, join) = boot();
     let mut client = Client::connect(addr);
     let request = format!(
         "{{\"id\":\"drip\",\"path\":\"{}\"}}\n",
@@ -194,7 +209,7 @@ fn dripped_request_bytes_are_reassembled() {
 /// request order, with strictly increasing trace ids.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let (addr, _handle, join) = boot(Transport::Epoll);
+    let (addr, _handle, join) = boot();
     let mut client = Client::connect(addr);
     let path = mir_path("serve_smoke_clean.mir");
     let batch = format!(
@@ -220,46 +235,98 @@ fn pipelined_requests_are_answered_in_order() {
 
 /// A connection that closes mid-line must get a structured `error`
 /// response for the unterminated request — the protocol's "every failure
-/// mode becomes a structured response" contract — on both transports.
+/// mode becomes a structured response" contract.
 #[test]
 fn unterminated_final_line_answers_structured_error() {
-    for transport in [Transport::Epoll, Transport::Poll] {
-        let (addr, handle, join) = boot(transport);
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        writer.write_all(b"{\"id\":\"partial\"").unwrap();
-        writer.flush().unwrap();
-        // Give the poll transport's 25 ms read cadence time to buffer the
-        // fragment before the half-close lands (the epoll transport does
-        // not need this, but it must tolerate it).
-        thread::sleep(Duration::from_millis(60));
-        stream.shutdown(Shutdown::Write).unwrap();
+    let (addr, handle, join) = boot();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(b"{\"id\":\"partial\"").unwrap();
+    writer.flush().unwrap();
+    // Let the fragment arrive in a read of its own, so the loop holds a
+    // buffered fragment when the half-close lands.
+    thread::sleep(Duration::from_millis(60));
+    stream.shutdown(Shutdown::Write).unwrap();
 
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read error response");
-        let response: Value =
-            serde_json::from_str(line.trim()).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
-        assert_eq!(
-            response.get("status").and_then(Value::as_str),
-            Some("error"),
-            "{transport:?}: {response:?}"
-        );
-        let message = response
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap_or_default();
-        assert!(
-            message.contains("unterminated request"),
-            "{transport:?}: {response:?}"
-        );
-        drop(reader);
-        handle.begin_shutdown();
-        join.join().expect("server thread");
-    }
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read error response");
+    let response: Value =
+        serde_json::from_str(line.trim()).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+    assert_eq!(
+        response.get("status").and_then(Value::as_str),
+        Some("error"),
+        "{response:?}"
+    );
+    let message = response
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("unterminated request"), "{response:?}");
+    drop(reader);
+    handle.begin_shutdown();
+    join.join().expect("server thread");
+}
+
+/// Runs `sh -c <script>` with the binary's path in `$RSTUDY_BIN` (the
+/// script `exec`s the server, so the child's pid is the server's) and
+/// reads its startup banner: the NDJSON address, plus the metrics address
+/// when `metrics` is set.
+#[cfg(target_os = "linux")]
+fn spawn_serve(
+    script: &str,
+    metrics: bool,
+) -> (std::process::Child, SocketAddr, Option<SocketAddr>) {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new("sh")
+        .args(["-c", script])
+        .env("RSTUDY_BIN", env!("CARGO_BIN_EXE_rust-safety-study"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
+    let mut banner_addr = || -> SocketAddr {
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).expect("read banner");
+        banner
+            .trim()
+            .rsplit(' ')
+            .next()
+            .expect("addr in banner")
+            .parse()
+            .unwrap_or_else(|e| panic!("bad banner {banner:?}: {e}"))
+    };
+    let addr = banner_addr();
+    let metrics_addr = metrics.then(banner_addr);
+    (child, addr, metrics_addr)
+}
+
+/// User + system CPU time of process `pid` so far, in clock ticks, from
+/// `/proc/<pid>/stat`.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+    // Fields 14 (utime) and 15 (stime), counted after the parenthesized
+    // comm, which may itself contain spaces.
+    let after_comm = &stat[stat.rfind(')').expect("comm") + 2..];
+    let fields: Vec<&str> = after_comm.split_whitespace().collect();
+    let utime: u64 = fields[11].parse().expect("utime");
+    let stime: u64 = fields[12].parse().expect("stime");
+    utime + stime
+}
+
+/// Sends `shutdown` on a fresh connection and requires a clean exit.
+#[cfg(target_os = "linux")]
+fn shutdown_child(mut child: std::process::Child, addr: SocketAddr) {
+    let bye = Client::connect(addr).round_trip(r#"{"id":"bye","cmd":"shutdown"}"#);
+    assert_eq!(bye.get("status").and_then(Value::as_str), Some("shutdown"));
+    let status = child.wait().expect("wait serve");
+    assert!(status.success(), "serve exited with {status:?}");
 }
 
 /// Idle connections must cost zero wakeups: with the event-driven
@@ -269,46 +336,7 @@ fn unterminated_final_line_answers_structured_error() {
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_connections_cost_no_busy_wakeups() {
-    use std::process::{Command, Stdio};
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rust-safety-study"))
-        .args([
-            "serve",
-            "--port",
-            "0",
-            "--workers",
-            "1",
-            "--transport",
-            "epoll",
-        ])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn serve");
-    let stdout = child.stdout.take().expect("child stdout");
-    let mut banner = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr: SocketAddr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("addr in banner")
-        .parse()
-        .unwrap_or_else(|e| panic!("bad banner {banner:?}: {e}"));
-
-    let cpu_ticks = |pid: u32| -> u64 {
-        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
-        // Fields 14 (utime) and 15 (stime), counted after the
-        // parenthesized comm, which may itself contain spaces.
-        let after_comm = &stat[stat.rfind(')').expect("comm") + 2..];
-        let fields: Vec<&str> = after_comm.split_whitespace().collect();
-        let utime: u64 = fields[11].parse().expect("utime");
-        let stime: u64 = fields[12].parse().expect("stime");
-        utime + stime
-    };
+    let (child, addr, _) = spawn_serve(r#"exec "$RSTUDY_BIN" serve --port 0 --workers 1"#, false);
 
     // A few connected clients, one warm-up round trip, then silence.
     let mut clients: Vec<Client> = (0..4).map(|_| Client::connect(addr)).collect();
@@ -320,14 +348,10 @@ fn idle_connections_cost_no_busy_wakeups() {
 
     let before = cpu_ticks(child.id());
     thread::sleep(Duration::from_millis(700));
-    let after = cpu_ticks(child.id());
-    let burned = after - before;
+    let burned = cpu_ticks(child.id()) - before;
 
-    let bye = clients[0].round_trip(r#"{"id":"bye","cmd":"shutdown"}"#);
-    assert_eq!(bye.get("status").and_then(Value::as_str), Some("shutdown"));
     drop(clients);
-    let status = child.wait().expect("wait serve");
-    assert!(status.success(), "serve exited with {status:?}");
+    shutdown_child(child, addr);
 
     // 700 ms idle at a 100 Hz tick rate is 70 ticks of wall time; an
     // event-driven server should spend none of them. Allow a little
@@ -335,5 +359,55 @@ fn idle_connections_cost_no_busy_wakeups() {
     assert!(
         burned <= 3,
         "idle server burned {burned} CPU ticks over 700 ms — busy wakeups?"
+    );
+}
+
+/// A server out of file descriptors cannot accept, and a level-triggered
+/// listener with a connection waiting would report ready on every
+/// `epoll_wait`. Both listeners must back off instead of spinning the
+/// I/O thread, and the scrape endpoint must answer once descriptors are
+/// free again.
+#[cfg(target_os = "linux")]
+#[test]
+fn listeners_back_off_when_descriptors_run_out() {
+    use std::io::Read;
+
+    let (child, addr, metrics) = spawn_serve(
+        r#"ulimit -n 24; exec "$RSTUDY_BIN" serve --port 0 --metrics-port 0 --workers 1"#,
+        true,
+    );
+    let metrics = metrics.expect("metrics banner");
+    // Far more clients than 24 descriptors leave room for: the rest wait
+    // in the backlog, and accepting them fails with EMFILE.
+    let flood: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let mut scrape = TcpStream::connect(metrics).expect("connect metrics");
+    scrape
+        .write_all(b"GET /healthz HTTP/1.0\r\n\r\n")
+        .expect("send scrape request");
+    thread::sleep(Duration::from_millis(100));
+
+    let before = cpu_ticks(child.id());
+    thread::sleep(Duration::from_millis(700));
+    let burned = cpu_ticks(child.id()) - before;
+
+    drop(flood);
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut response = String::new();
+    scrape
+        .read_to_string(&mut response)
+        .expect("read scrape response");
+    shutdown_child(child, addr);
+
+    assert!(
+        burned <= 3,
+        "a server out of descriptors burned {burned} CPU ticks over 700 ms — accept spin?"
+    );
+    assert!(
+        response.lines().next().is_some_and(|l| l.contains(" 200 ")),
+        "{response:?}"
     );
 }
