@@ -23,15 +23,7 @@ cargo test -q --workspace
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== --jobs equivalence smoke check =="
-# The parallel suite must produce byte-identical reports at any job count.
 BIN=target/release/rust-safety-study
-SEQ=$("$BIN" check examples/mir/use_after_free.mir --jobs 1 || true)
-PAR=$("$BIN" check examples/mir/use_after_free.mir --jobs 8 || true)
-if [ "$SEQ" != "$PAR" ]; then
-    echo "FAIL: check output differs between --jobs 1 and --jobs 8" >&2
-    exit 1
-fi
 
 echo "== serve smoke check =="
 # Boot the analysis service on an ephemeral port, fire the three
@@ -86,15 +78,14 @@ smoke timing '{"id":"t","path":"examples/mir/serve_smoke_clean.mir"}' \
     '"queue_ns"' '"analysis_ns"' '"trace_id"'
 smoke metrics '{"id":"m","cmd":"metrics"}' '"status":"metrics"' '"p50"' '"hit_ratio"'
 
-echo "== loadgen benchmark baselines =="
+echo "== loadgen benchmark baseline =="
 # Replay 50 corpus requests against the already-running server and
-# regenerate the committed BENCH_*.json baselines. loadgen exits non-zero
+# regenerate the committed BENCH_serve.json baseline. loadgen exits non-zero
 # if any request failed, so the `set -e` above is the assertion.
 "$BIN" loadgen --requests 50 --connections 4 --addr "127.0.0.1:$PORT" \
-    --out BENCH_serve.json --suite-out BENCH_suite.json
+    --out BENCH_serve.json
 grep -q '"schema": "rstudy-bench-serve/v1"' BENCH_serve.json
 grep -q '"errors": 0' BENCH_serve.json
-grep -q '"schema": "rstudy-bench-suite/v1"' BENCH_suite.json
 # Latency sanity ceiling: the event-driven transport's closed-loop p50 is
 # sub-millisecond on an idle machine; 20 ms of headroom absorbs CI noise
 # while still catching a regression to the ~100 ms poll-era baseline.
@@ -272,6 +263,24 @@ OK_COUNT=$(for _ in $(seq 200); do printf '%s\n' "$REQUEST"; done |
 ELAPSED_MS=$((($(date +%s%N) - START_NS) / 1000000))
 if [ "$OK_COUNT" -ne 200 ] || [ "$ELAPSED_MS" -gt 5000 ]; then
     echo "FAIL: $OK_COUNT of 200 repeated manifest requests answered ok in $ELAPSED_MS ms (want all 200 within 5000 ms)" >&2
+    exit 1
+fi
+
+echo "== --jobs equivalence smoke check =="
+# `check --manifest` analyzes several programs at once; its reports must be
+# byte-identical at any job count.
+for jobs in 1 8; do
+    status=0
+    "$BIN" check --manifest "$INGEST_OUT/manifest.json" --jobs "$jobs" --json \
+        > "$SERVE_TMP/check-jobs$jobs.txt" || status=$?
+    if [ "$status" -gt 1 ]; then
+        echo "FAIL: check --manifest --jobs $jobs exited $status" >&2
+        exit 1
+    fi
+done
+if ! cmp -s "$SERVE_TMP/check-jobs1.txt" "$SERVE_TMP/check-jobs8.txt"; then
+    echo "FAIL: check --manifest output differs between --jobs 1 and --jobs 8" >&2
+    diff "$SERVE_TMP/check-jobs1.txt" "$SERVE_TMP/check-jobs8.txt" >&2 || true
     exit 1
 fi
 

@@ -90,23 +90,14 @@ fn bench_race_detection_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole ablation: worker count × shared analysis cache, over the
-/// whole corpus. `jobs1_cache_off` approximates the old sequential suite
-/// (every detector recomputing per-body analyses); `jobsN_cache_on` is the
-/// shipping configuration.
-fn bench_parallel_cache(c: &mut Criterion) {
+/// The shared analysis cache on and off, over the whole corpus.
+/// `cache_off` approximates the old suite (every detector recomputing
+/// per-body analyses); `cache_on` is the shipping configuration.
+fn bench_shared_cache(c: &mut Criterion) {
     let programs: Vec<_> = all_entries().iter().map(|e| e.program()).collect();
-    let jobs_n = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut group = c.benchmark_group("ablation_parallel_cache");
-    for (label, jobs, cache) in [
-        ("jobs1_cache_off", 1, false),
-        ("jobs1_cache_on", 1, true),
-        ("jobsN_cache_off", jobs_n, false),
-        ("jobsN_cache_on", jobs_n, true),
-    ] {
-        let suite = rstudy_core::suite::DetectorSuite::new()
-            .with_jobs(jobs)
-            .with_shared_cache(cache);
+    let mut group = c.benchmark_group("ablation_shared_cache");
+    for (label, cache) in [("cache_off", false), ("cache_on", true)] {
+        let suite = rstudy_core::suite::DetectorSuite::new().with_shared_cache(cache);
         group.bench_function(label, |b| {
             b.iter(|| {
                 let mut n = 0usize;
@@ -159,7 +150,7 @@ criterion_group!(
     benches,
     bench_interproc_mode,
     bench_race_detection_cost,
-    bench_parallel_cache,
+    bench_shared_cache,
     bench_simplify_preconditioning
 );
 criterion_main!(benches);

@@ -87,18 +87,6 @@ fn bench_detectors(c: &mut Criterion) {
             black_box(total)
         })
     });
-    // Sequential baseline: one worker, same shared cache. The delta to
-    // `suite_full_corpus` (auto-sized pool) is the parallel speedup.
-    let suite_seq = DetectorSuite::new().with_jobs(1);
-    group.bench_function("suite_full_corpus_jobs1", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for p in &programs {
-                total += suite_seq.check_program(black_box(p)).len();
-            }
-            black_box(total)
-        })
-    });
     group.bench_function("uaf_eval_corpus", |b| {
         let eval: Vec<_> = UAF_TARGETS
             .iter()

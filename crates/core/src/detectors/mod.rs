@@ -4,8 +4,9 @@
 //! ([`Detector::check_body`]) plus whole-program checks
 //! ([`Detector::check_global`]), both reading shared analysis facts from an
 //! [`AnalysisContext`]. Run them all with [`crate::suite::DetectorSuite`]
-//! (which fans the (detector × body) tasks out over a thread pool), or
-//! individually via the provided [`Detector::check_program`].
+//! (which runs every detector over one program inline, and many programs
+//! at once through `check_programs`), or individually via the provided
+//! [`Detector::check_program`].
 
 mod blocking_misuse;
 mod buffer_overflow;

@@ -1,17 +1,17 @@
 //! Running every detector over a program and aggregating the findings.
 //!
-//! The suite fans out one task per (detector × body) — plus one
-//! whole-program task per detector — over a small pool of scoped worker
-//! threads sharing an [`AnalysisContext`]. Task order is fixed, result
-//! slots are disjoint and the final sort is stable, so the report is
-//! byte-identical at any `--jobs` setting.
+//! One program is checked inline on the calling thread: each detector runs
+//! over every body and then the whole program, all sharing one
+//! [`AnalysisContext`], and the findings are stably sorted by source
+//! position. [`DetectorSuite::check_programs`] is the one place that
+//! spawns threads: its workers take whole programs, so a manifest's
+//! reports are byte-identical at any `--jobs` setting.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use rstudy_mir::{Body, Program};
+use rstudy_mir::Program;
 use serde::{Deserialize, Serialize};
 
 use crate::config::DetectorConfig;
@@ -85,14 +85,14 @@ impl Report {
 }
 
 /// Wall-clock and findings attribution for one detector within one
-/// [`DetectorSuite::check_program_timed`] run. `wall_ns` sums the
-/// detector's task times across bodies (and its whole-program task), so
-/// under parallel execution it can exceed the run's elapsed time.
+/// [`DetectorSuite::check_program_timed`] run. `wall_ns` is the detector's
+/// time over every body plus its whole-program pass, measured inline, so
+/// the timings of one run sum to at most its elapsed time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectorTiming {
     /// The detector's [`Detector::name`].
     pub name: &'static str,
-    /// Summed task wall time attributed to this detector, nanoseconds.
+    /// Wall time of this detector's passes, nanoseconds.
     pub wall_ns: u64,
     /// Findings this detector contributed to the report.
     pub findings: u64,
@@ -104,7 +104,7 @@ pub struct DetectorTiming {
 pub struct DetectorSuite {
     detectors: Vec<Box<dyn Detector>>,
     config: DetectorConfig,
-    /// Worker threads for `check_program`; `0` means auto-size.
+    /// Programs analyzed at once by `check_programs`; `0` means auto-size.
     jobs: usize,
     /// Whether all tasks share one memoizing [`AnalysisContext`].
     shared_cache: bool,
@@ -171,17 +171,18 @@ impl DetectorSuite {
         }
     }
 
-    /// Sets the number of worker threads used by
-    /// [`check_program`](DetectorSuite::check_program). `0` (the default)
-    /// sizes the pool to the machine's available parallelism; `1` forces
-    /// the fully sequential path. The report is identical at any setting.
+    /// Sets the number of programs analyzed at once by
+    /// [`check_programs`](DetectorSuite::check_programs). `0` (the default)
+    /// uses the machine's available parallelism; `1` checks them one after
+    /// another on the calling thread. The reports are identical at any
+    /// setting, and a single program is always checked inline.
     pub fn with_jobs(mut self, jobs: usize) -> DetectorSuite {
         self.jobs = jobs;
         self
     }
 
     /// Enables or disables the shared per-body analysis cache (on by
-    /// default). With the cache off, every (detector × body) task
+    /// default). With the cache off, every (detector × body) pass
     /// recomputes its analyses from scratch — only useful for ablation
     /// measurements.
     pub fn with_shared_cache(mut self, shared: bool) -> DetectorSuite {
@@ -223,18 +224,48 @@ impl DetectorSuite {
         self.check_program_timed(program).0
     }
 
-    /// Runs the suite over many named programs, in input order.
+    /// Runs the suite over many named programs, returning the reports in
+    /// input order.
     ///
     /// Ingested corpora lower each source file to its own [`Program`]; this
     /// checks each one and pairs its report with the caller's name for it
-    /// (typically the file path).
+    /// (typically the file path). Up to [`with_jobs`](DetectorSuite::with_jobs)
+    /// workers pull programs off one shared cursor, and each program is
+    /// checked inline by the worker that took it, so the reports are the
+    /// same at any worker count.
     pub fn check_programs<'a, I>(&self, programs: I) -> Vec<(String, Report)>
     where
         I: IntoIterator<Item = (&'a str, &'a Program)>,
     {
+        let programs: Vec<(&str, &Program)> = programs.into_iter().collect();
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((_, program)) = programs.get(i) else {
+                    return done;
+                };
+                done.push((i, self.check_program(program)));
+            }
+        };
+        let workers = self.effective_jobs().min(programs.len());
+        let mut done: Vec<(usize, Report)> = if workers <= 1 {
+            work()
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        done.sort_unstable_by_key(|&(i, _)| i);
         programs
-            .into_iter()
-            .map(|(name, p)| (name.to_owned(), self.check_program(p)))
+            .iter()
+            .zip(done)
+            .map(|((name, _), (_, report))| ((*name).to_owned(), report))
             .collect()
     }
 
@@ -244,104 +275,47 @@ impl DetectorSuite {
     /// enabled — the analysis service feeds them into its always-on
     /// per-detector latency histograms — and the report is identical to
     /// `check_program`'s.
+    ///
+    /// Runs inline on the calling thread: detector by detector, each over
+    /// every body in name order and then the whole program. Parallelism
+    /// lives with the callers that own independent work — the service's
+    /// workers across requests, [`check_programs`](DetectorSuite::check_programs)
+    /// across programs.
     pub fn check_program_timed(&self, program: &Program) -> (Report, Vec<DetectorTiming>) {
         let _suite = rstudy_telemetry::span("suite");
-        rstudy_telemetry::declare_histogram("suite.task_ns");
-        let telemetry_on = rstudy_telemetry::enabled();
-
-        let functions: Vec<(&str, &Body)> = program.iter().collect();
-        let nf = functions.len();
-        let slots_per_detector = nf + 1;
-        let total = self.detectors.len() * slots_per_detector;
-
-        let mut results: Vec<Mutex<Vec<Diagnostic>>> =
-            (0..total).map(|_| Mutex::new(Vec::new())).collect();
-        let detector_ns: Vec<AtomicU64> =
-            self.detectors.iter().map(|_| AtomicU64::new(0)).collect();
-
         let shared = self.shared_cache.then(|| AnalysisContext::new(program));
-
-        // One task per (detector × body), plus one whole-program task per
-        // detector. Task order is fixed and result slots are disjoint, so
-        // any worker interleaving yields the same report.
-        let run_one = |cx: &AnalysisContext<'_>, di: usize, fi: usize| {
-            if fi < nf {
-                self.detectors[di].check_body(cx, functions[fi].0, functions[fi].1, &self.config)
-            } else {
-                self.detectors[di].check_global(cx, &self.config)
-            }
-        };
-        let run_task = |ti: usize| {
-            let di = ti / slots_per_detector;
-            let fi = ti % slots_per_detector;
-            // Always timed: the per-detector attribution feeds the
-            // service's always-on latency histograms even when global
-            // telemetry is off (`record` is a no-op then).
-            let start = Instant::now();
-            let found = match &shared {
-                Some(cx) => run_one(cx, di, fi),
-                None => run_one(&AnalysisContext::new(program), di, fi),
-            };
-            let ns = start.elapsed().as_nanos() as u64;
-            rstudy_telemetry::record("suite.task_ns", ns);
-            detector_ns[di].fetch_add(ns, Ordering::Relaxed);
-            *results[ti].lock().unwrap_or_else(|e| e.into_inner()) = found;
+        // With the shared cache off, every (detector × body) task gets a
+        // fresh context and recomputes its analyses from scratch.
+        let with_cx = |task: &dyn Fn(&AnalysisContext<'_>) -> Vec<Diagnostic>| match &shared {
+            Some(cx) => task(cx),
+            None => task(&AnalysisContext::new(program)),
         };
 
-        let workers = self.effective_jobs().min(total.max(1));
-        if workers <= 1 || total <= 1 {
-            for ti in 0..total {
-                run_task(ti);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        let _worker = rstudy_telemetry::span("suite.worker");
-                        loop {
-                            let ti = next.fetch_add(1, Ordering::Relaxed);
-                            if ti >= total {
-                                break;
-                            }
-                            run_task(ti);
-                        }
-                    });
-                }
-            });
-        }
-
-        // Drain the slots in suite order and attribute the measured time to
-        // the span-tree position a sequential run would have used.
-        let _merge = rstudy_telemetry::span("suite.merge");
         let mut diagnostics = Vec::new();
         let mut timings = Vec::with_capacity(self.detectors.len());
-        for (di, d) in self.detectors.iter().enumerate() {
+        for d in &self.detectors {
             let name = d.name();
             let before = diagnostics.len();
-            for fi in 0..slots_per_detector {
-                let slot = results[di * slots_per_detector + fi]
-                    .get_mut()
-                    .unwrap_or_else(|e| e.into_inner());
-                diagnostics.append(slot);
+            let _span = rstudy_telemetry::span_with(|| format!("detector.{name}"));
+            let start = Instant::now();
+            for (function, body) in program.iter() {
+                diagnostics.extend(with_cx(&|cx| {
+                    d.check_body(cx, function, body, &self.config)
+                }));
             }
+            diagnostics.extend(with_cx(&|cx| d.check_global(cx, &self.config)));
+            let wall_ns = start.elapsed().as_nanos() as u64;
             let n = diagnostics.len() - before;
-            let wall_ns = detector_ns[di].load(Ordering::Relaxed);
             timings.push(DetectorTiming {
                 name,
                 wall_ns,
                 findings: n as u64,
             });
-            if telemetry_on {
-                let child = format!("detector.{name}");
-                rstudy_telemetry::record_span_at(&["suite", child.as_str()], wall_ns);
-            }
             rstudy_telemetry::counter_with(|| format!("detector.{name}.findings"), n as u64);
             rstudy_telemetry::trace(|| {
                 format!("check: detector {name} finished with {n} finding(s)")
             });
         }
-        rstudy_telemetry::counter("suite.tasks", total as u64);
         drop(shared); // flushes the analysis.cache.{hits,misses} counters
 
         diagnostics.sort_by(|a, b| {
@@ -506,11 +480,16 @@ mod tests {
     #[test]
     fn timed_run_attributes_findings_and_wall_time_per_detector() {
         let program = two_bug_program();
+        let start = Instant::now();
         let (report, timings) = DetectorSuite::new().check_program_timed(&program);
+        let elapsed = start.elapsed().as_nanos() as u64;
         let names: Vec<&str> = timings.iter().map(|t| t.name).collect();
         assert_eq!(names, DetectorSuite::all_detector_names());
-        // Timings are measured regardless of the global telemetry flag.
+        // Timings are measured regardless of the global telemetry flag,
+        // and being inline they fit inside the run.
         assert!(timings.iter().all(|t| t.wall_ns > 0), "{timings:?}");
+        let detectors: u64 = timings.iter().map(|t| t.wall_ns).sum();
+        assert!(detectors <= elapsed, "{detectors} ns in a {elapsed} ns run");
         let total: u64 = timings.iter().map(|t| t.findings).sum();
         assert_eq!(total as usize, report.len());
         let groups = report.by_detector();
@@ -538,20 +517,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_matches_sequential() {
-        let program = two_bug_program();
-        let seq = DetectorSuite::new().with_jobs(1).check_program(&program);
-        let par = DetectorSuite::new().with_jobs(8).check_program(&program);
-        assert_eq!(seq.diagnostics(), par.diagnostics());
-        assert!(!seq.is_clean());
-    }
-
-    #[test]
     fn uncached_run_matches_cached() {
         let program = two_bug_program();
-        let cached = DetectorSuite::new().with_jobs(4).check_program(&program);
+        let cached = DetectorSuite::new().check_program(&program);
         let fresh = DetectorSuite::new()
-            .with_jobs(4)
             .with_shared_cache(false)
             .check_program(&program);
         assert_eq!(cached.diagnostics(), fresh.diagnostics());

@@ -1,6 +1,6 @@
-//! Open-loop load generator for the analysis service, plus the offline
-//! detector-suite benchmark. Both write stable-schema `BENCH_*.json`
-//! artifacts so successive commits can be compared number-for-number.
+//! Open-loop load generator for the analysis service. It writes the
+//! stable-schema `BENCH_serve.json` artifact so successive commits can be
+//! compared number-for-number.
 //!
 //! The load generator replays a configurable mix of corpus programs
 //! against a running server — either one the caller already started
@@ -22,7 +22,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use rstudy_core::suite::DetectorSuite;
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
 use serde::Value;
 
@@ -621,82 +620,6 @@ fn connection_loop(
     statuses
 }
 
-// ---------------------------------------------------------------------------
-// Offline suite benchmark (BENCH_suite.json)
-// ---------------------------------------------------------------------------
-
-/// Runs the full detector suite over every corpus program at each worker
-/// count in `jobs_list`, `reps` times each (the minimum wall time is
-/// kept — the usual noise floor for wall-clock benchmarks), and harvests
-/// fixpoint iteration counts from the telemetry `*.iterations`
-/// histograms. Returns the `BENCH_suite.json` payload.
-///
-/// Enables global telemetry for the iteration counts and leaves it
-/// enabled; callers that care must save and restore the flag.
-pub fn bench_suite(jobs_list: &[usize], reps: usize) -> Value {
-    let entries = rstudy_corpus::all_entries();
-    let programs: Vec<_> = entries.iter().map(|e| e.program()).collect();
-    let reps = reps.max(1);
-
-    rstudy_telemetry::enable();
-    let before = rstudy_telemetry::snapshot();
-
-    let mut jobs_results = Vec::new();
-    for &jobs in jobs_list {
-        let mut best_ns = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            for program in &programs {
-                let suite = DetectorSuite::new().with_jobs(jobs);
-                let _report = suite.check_program(program);
-            }
-            best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        jobs_results.push(Value::Map(vec![
-            ("jobs".to_owned(), Value::UInt(jobs as u64)),
-            ("wall_ns".to_owned(), Value::UInt(best_ns)),
-        ]));
-    }
-
-    // Fixpoint iteration counts: the delta between the before/after
-    // snapshots isolates this benchmark's contribution even when the
-    // global registry already held data.
-    let after = rstudy_telemetry::snapshot();
-    let mut fixpoint = Vec::new();
-    for (name, h) in &after.histograms {
-        if !name.ends_with(".iterations") {
-            continue;
-        }
-        let (prev_count, prev_sum) = before
-            .histograms
-            .get(name)
-            .map_or((0, 0), |p| (p.count, p.sum));
-        let count = h.count.saturating_sub(prev_count);
-        let sum = h.sum.saturating_sub(prev_sum);
-        if count == 0 {
-            continue;
-        }
-        fixpoint.push((
-            name.clone(),
-            Value::Map(vec![
-                ("count".to_owned(), Value::UInt(count)),
-                ("sum".to_owned(), Value::UInt(sum)),
-            ]),
-        ));
-    }
-
-    Value::Map(vec![
-        (
-            "schema".to_owned(),
-            Value::Str("rstudy-bench-suite/v1".to_owned()),
-        ),
-        ("programs".to_owned(), Value::UInt(programs.len() as u64)),
-        ("reps".to_owned(), Value::UInt(reps as u64)),
-        ("jobs".to_owned(), Value::Seq(jobs_results)),
-        ("fixpoint".to_owned(), Value::Map(fixpoint)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -773,23 +696,5 @@ mod tests {
         // The default mix has 6 programs, so 8 requests revisit at least
         // two of them and must hit the cache.
         assert!(report.cache_hits >= 2, "cache hits: {}", report.cache_hits);
-    }
-
-    #[test]
-    fn bench_suite_reports_jobs_and_fixpoint_iterations() {
-        let value = bench_suite(&[1], 1);
-        let jobs = value.get("jobs").and_then(|j| j.as_array()).unwrap();
-        assert_eq!(jobs.len(), 1);
-        assert!(jobs[0].get("wall_ns").and_then(|w| w.as_u64()).unwrap() > 0);
-        let fixpoint = value.get("fixpoint").unwrap();
-        assert!(
-            fixpoint
-                .get("analysis.points-to.iterations")
-                .and_then(|f| f.get("count"))
-                .and_then(|c| c.as_u64())
-                .unwrap_or(0)
-                > 0,
-            "points-to fixpoint iterations missing from {value:?}"
-        );
     }
 }

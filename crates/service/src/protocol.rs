@@ -28,9 +28,6 @@
 //! * `detectors` — detector names to run (default: the full suite). The
 //!   run order is always canonical, so the detector *set* alone determines
 //!   the report.
-//! * `jobs` — worker threads for this one analysis (default: the server's
-//!   `--jobs`). Zero is rejected: a worker count of 0 is a usage error
-//!   everywhere in this toolchain.
 //! * `naive` — use the paper's unoptimized interprocedural mode.
 //! * `trace` — attach per-request timing (`parse_ns`, `check_ns`) to the
 //!   response. Timings are measured, hence non-deterministic; they are
@@ -103,8 +100,6 @@ pub struct CheckRequest {
     pub source: ProgramSource,
     /// Detector subset (`None` = full suite).
     pub detectors: Option<Vec<String>>,
-    /// Per-request suite worker threads (`None` = server default).
-    pub jobs: Option<usize>,
     /// Run the naive interprocedural mode.
     pub naive: bool,
     /// Attach per-request timing to the response.
@@ -165,7 +160,6 @@ const KNOWN_FIELDS: &[&str] = &[
     "manifest",
     "entry",
     "detectors",
-    "jobs",
     "naive",
     "trace",
     "delay_ms",
@@ -290,24 +284,6 @@ fn parse_check(value: &Value, id: Option<Value>) -> Result<Request, RequestError
             ))
         }
     };
-    let jobs = match value.get("jobs") {
-        None | Some(Value::Null) => None,
-        Some(v) => match v.as_u64() {
-            Some(0) => {
-                return Err(RequestError::new(
-                    id,
-                    "`jobs`: expected a positive integer, got `0`",
-                ))
-            }
-            Some(n) => Some(n as usize),
-            None => {
-                return Err(RequestError::new(
-                    id,
-                    format!("`jobs`: expected a positive integer, got {}", v.kind()),
-                ))
-            }
-        },
-    };
     let naive = opt_bool(value, "naive", &id)?;
     let trace = opt_bool(value, "trace", &id)?;
     let delay_ms = match value.get("delay_ms") {
@@ -327,7 +303,6 @@ fn parse_check(value: &Value, id: Option<Value>) -> Result<Request, RequestError
         command: Command::Check(CheckRequest {
             source,
             detectors,
-            jobs,
             naive,
             trace,
             delay_ms,
@@ -422,7 +397,6 @@ mod tests {
         };
         assert_eq!(c.source, ProgramSource::Text("fn main() -> int {}".into()));
         assert_eq!(c.detectors, None);
-        assert_eq!(c.jobs, None);
         assert!(!c.naive && !c.trace);
         assert_eq!(c.delay_ms, 0);
     }
@@ -430,7 +404,7 @@ mod tests {
     #[test]
     fn parses_full_check() {
         let r = parse_request(
-            r#"{"id":7,"cmd":"check","path":"a.mir","detectors":["double-lock"],"jobs":2,"naive":true,"trace":true,"delay_ms":5}"#,
+            r#"{"id":7,"cmd":"check","path":"a.mir","detectors":["double-lock"],"naive":true,"trace":true,"delay_ms":5}"#,
         )
         .unwrap();
         assert_eq!(r.id, Some(Value::Int(7)));
@@ -442,7 +416,6 @@ mod tests {
             c.detectors.as_deref(),
             Some(&["double-lock".to_owned()][..])
         );
-        assert_eq!(c.jobs, Some(2));
         assert!(c.naive && c.trace);
         assert_eq!(c.delay_ms, 5);
     }
@@ -497,13 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn rejects_jobs_zero_with_usage_error() {
-        let err = parse_request(r#"{"id":"z","program":"x","jobs":0}"#).unwrap_err();
-        assert_eq!(err.id, Some(Value::Str("z".into())));
-        assert!(err.message.contains("positive integer"), "{}", err.message);
-    }
-
-    #[test]
     fn rejects_malformed_lines_and_bad_shapes() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request("[1,2]").is_err());
@@ -512,6 +478,8 @@ mod tests {
         assert!(parse_request(r#"{}"#).is_err());
         assert!(parse_request(r#"{"program":"x","detectors":"all"}"#).is_err());
         assert!(parse_request(r#"{"program":"x","typo":1}"#).is_err());
+        // The suite runs inline on its worker: there is no `jobs` field.
+        assert!(parse_request(r#"{"program":"x","jobs":1}"#).is_err());
     }
 
     #[test]

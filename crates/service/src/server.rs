@@ -68,10 +68,6 @@ pub struct ServeConfig {
     pub timeout_ms: Option<u64>,
     /// Disk tier directory for the result cache; `None` = memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Memory-tier capacity of the result cache, in reports.
-    pub cache_capacity: usize,
-    /// Default `DetectorSuite` jobs per analysis (`0` = all cores).
-    pub default_jobs: usize,
     /// Loopback port for the Prometheus scrape endpoint (`GET /metrics`,
     /// `GET /healthz`); `0` = kernel-assigned, `None` = no endpoint. TCP
     /// mode only: [`serve_stream`] rejects it.
@@ -95,8 +91,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             timeout_ms: None,
             cache_dir: None,
-            cache_capacity: 128,
-            default_jobs: 0,
             metrics_port: None,
             access_log: None,
             access_log_sample: 1,
@@ -231,7 +225,6 @@ struct Job {
     program_text: String,
     /// Canonicalized detector set (validated, canonical order).
     detectors: Vec<String>,
-    jobs: usize,
     naive: bool,
     trace: bool,
     delay_ms: u64,
@@ -292,6 +285,11 @@ struct ManifestMemo {
     manifest: Arc<Manifest>,
 }
 
+/// Memory-tier capacity of the result cache, in reports. Large enough that
+/// a connection stalled for a few hundred milliseconds behind another
+/// connection's fresh inserts still finds its own hot entries.
+const CACHE_CAPACITY: usize = 1024;
+
 /// Tokens 0..4 are reserved by the epoll loop (listener, waker, SIGINT
 /// latch, metrics listener); connection tokens — TCP, stdin and metrics
 /// connections alike — are minted from a shared counter above them.
@@ -299,7 +297,7 @@ const FIRST_CONN_TOKEN: u64 = 4;
 
 impl ServerState {
     fn new(config: ServeConfig) -> io::Result<ServerState> {
-        let cache = ResultCache::new(config.cache_capacity, config.cache_dir.clone())?;
+        let cache = ResultCache::new(CACHE_CAPACITY, config.cache_dir.clone())?;
         let access = match &config.access_log {
             Some(path) => Some(obs::AccessLog::open(path, config.access_log_sample)?),
             None => None,
@@ -1914,7 +1912,6 @@ fn start_check(
         trace_id,
         program_text,
         detectors,
-        jobs: check.jobs.unwrap_or(state.config.default_jobs),
         naive: check.naive,
         trace: check.trace,
         delay_ms: check.delay_ms,
@@ -2141,7 +2138,7 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
         DetectorConfig::new()
     };
     let suite = match DetectorSuite::with_only(&job.detectors) {
-        Ok(s) => s.with_jobs(job.jobs).with_config(config),
+        Ok(s) => s.with_config(config),
         Err(e) => return (fail(e), outcome(Status::Error, None, 0, false, stages)),
     };
     // Parse, validate and the suite share one `catch_unwind`: a panic on

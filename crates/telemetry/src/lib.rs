@@ -133,18 +133,6 @@ pub fn record_with<F: FnOnce() -> String>(build: F, value: u64) {
     }
 }
 
-/// Merges one span closing of `elapsed_ns` at the root-relative `path`,
-/// bypassing the calling thread's span stack. A coordinator that fans work
-/// out to worker threads uses this to attribute the measured time to the
-/// logical position in the span tree (e.g. `["suite", "detector.x"]`),
-/// keeping profiles identical to a single-threaded run.
-#[inline]
-pub fn record_span_at(path: &[&str], elapsed_ns: u64) {
-    if enabled() {
-        registry::record_span(path, elapsed_ns);
-    }
-}
-
 /// Registers the named histogram so it appears in snapshots even when no
 /// sample is ever recorded (count 0, min/max serialized as 0).
 #[inline]
@@ -419,23 +407,6 @@ mod tests {
         assert!(snap.spans.is_empty());
         assert!(snap.histograms.is_empty());
         assert_eq!(snap.counters["lazy.counter"], 2);
-    }
-
-    #[test]
-    fn record_span_at_merges_under_the_given_path() {
-        let _lock = fresh();
-        record_span_at(&["suite", "detector.x"], 100);
-        record_span_at(&["suite", "detector.x"], 300);
-        let snap = snapshot();
-        let node = snap.span_at("suite/detector.x").unwrap();
-        assert_eq!(node.count, 2);
-        assert_eq!(node.total_ns, 400);
-        assert_eq!(node.min_ns, 100);
-        assert_eq!(node.max_ns, 300);
-        // The implicitly-created parent has no closings and no sentinels.
-        let parent = snap.span_at("suite").unwrap();
-        assert_eq!(parent.count, 0);
-        assert!(parent.min_ns == 0 && parent.max_ns == 0);
     }
 
     #[test]

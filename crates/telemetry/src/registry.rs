@@ -343,21 +343,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Merges one closing of `elapsed_ns` at a root-relative span path,
-/// independent of the calling thread's span stack. Lets a coordinator
-/// attribute work performed on worker threads to the logical tree position.
-pub(crate) fn record_span(path: &[&str], elapsed_ns: u64) {
-    if path.is_empty() {
-        return;
-    }
-    let mut reg = lock();
-    let mut node = &mut reg.root;
-    for name in path {
-        node = node.children.entry((*name).to_owned()).or_default();
-    }
-    node.stats.merge_closing(elapsed_ns);
-}
-
 /// Registers an empty histogram so it shows up in snapshots (with
 /// `count == 0` and zeroed min/max) even if nothing is ever recorded.
 pub(crate) fn declare_histogram(name: &str) {

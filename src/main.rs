@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rust-safety-study check <file.mir> [--naive] [--json]   run the static detectors
-//! rust-safety-study check --manifest <path>        run the suite over an ingested corpus
+//! rust-safety-study check --manifest <path> [--jobs N]   run the suite over an ingested corpus
 //! rust-safety-study run <file.mir> [--seed N]      execute on the checked interpreter
 //! rust-safety-study lint <file.mir>                IDE-style lints (implicit unlocks, …)
 //! rust-safety-study scan <path>...                 unsafe-usage scanner over .rs files
@@ -25,25 +25,10 @@ use rust_safety_study::mir::Program;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Telemetry and threading flags are global: valid in any position, for
-    // every command.
+    // Telemetry flags are global: valid in any position, for every command.
     let profile = take_flag(&mut args, "--profile");
     let metrics_json = match take_value(&mut args, "--metrics-json") {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let jobs = match take_value(&mut args, "--jobs") {
-        Ok(None) => 0,
-        Ok(Some(s)) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--jobs: expected a positive integer, got `{s}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        },
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);
@@ -68,9 +53,9 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let code = match cmd.as_str() {
-        "check" => cmd_check(&mut args[1..].to_vec(), jobs),
+        "check" => cmd_check(&mut args[1..].to_vec()),
         "ingest" => cmd_ingest(&mut args[1..].to_vec()),
-        "serve" => cmd_serve(&mut args[1..].to_vec(), jobs),
+        "serve" => cmd_serve(&mut args[1..].to_vec()),
         "loadgen" => cmd_loadgen(&mut args[1..].to_vec()),
         "run" => cmd_run(&args[1..]),
         "lint" => cmd_lint(&args[1..]),
@@ -141,7 +126,7 @@ rust-safety-study — static & dynamic Rust-safety tooling (PLDI 2020 reproducti
 
 USAGE:
   rust-safety-study check <file.mir> [--naive] [--trace] [--json]
-  rust-safety-study check --manifest <path> [--json]   suite over an ingested corpus
+  rust-safety-study check --manifest <path> [--json] [--jobs N]
   rust-safety-study run <file.mir> [--seed N] [--max-steps N] [--trace]
   rust-safety-study lint <file.mir>              critical sections & hazards
   rust-safety-study scan <path>...               scan .rs files for unsafe usages
@@ -150,6 +135,10 @@ USAGE:
   rust-safety-study corpus [name]                list / print corpus programs
   rust-safety-study serve [SERVE FLAGS]          long-running analysis service (NDJSON)
   rust-safety-study loadgen [LOADGEN FLAGS]      replay corpus programs against a server
+
+CHECK FLAGS:
+  --jobs <N>            programs `check --manifest` analyzes at once
+                        (default: all cores; 1 = one at a time; 0 is rejected)
 
 SERVE FLAGS:
   --port <N>            TCP port on 127.0.0.1 (default 0 = kernel-assigned; printed);
@@ -181,7 +170,6 @@ LOADGEN FLAGS:
   --manifest <path>     replay lowered programs from an ingest manifest
                         (--mix then selects root-relative file paths in it)
   --out <path>          latency/throughput report (default BENCH_serve.json)
-  --suite-out <path>    also run the offline suite benchmark (BENCH_suite.json)
   --scrape              scrape `/metrics` mid-run and embed the cross-check
                         in the report (in-process servers only, or with
                         --scrape-addr)
@@ -191,8 +179,6 @@ LOADGEN FLAGS:
 GLOBAL FLAGS:
   --profile             print the telemetry span/counter tree after the command
   --metrics-json <path> write the full telemetry registry as JSON
-  --jobs <N>            worker threads for `check` / per-request default for `serve`
-                        (default: all cores; 1 = sequential; 0 is rejected)
   --trace               record (and print) per-step / per-detector trace events
   --trace-out <path>    write spans/events as Chrome trace-event JSON
                         (open in chrome://tracing or Perfetto)";
@@ -204,14 +190,24 @@ fn load(path: &str) -> Result<Program, String> {
     Ok(program)
 }
 
-fn cmd_check(args: &mut Vec<String>, jobs: usize) -> ExitCode {
+fn cmd_check(args: &mut Vec<String>) -> ExitCode {
     let config = if args.iter().any(|a| a == "--naive") {
         DetectorConfig::naive()
     } else {
         DetectorConfig::new()
     };
-    let manifest = match take_value(args, "--manifest") {
-        Ok(v) => v,
+    let parsed = (|| {
+        let jobs = match take_value(args, "--jobs")? {
+            None => 0,
+            Some(s) => match s.parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                _ => return Err(format!("--jobs: expected a positive integer, got `{s}`")),
+            },
+        };
+        Ok((jobs, take_value(args, "--manifest")?))
+    })();
+    let (jobs, manifest) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
             return ExitCode::from(2);
@@ -234,7 +230,6 @@ fn cmd_check(args: &mut Vec<String>, jobs: usize) -> ExitCode {
     };
     let report = DetectorSuite::new()
         .with_config(config)
-        .with_jobs(jobs)
         .check_program(&program);
     if args.iter().any(|a| a == "--json") {
         // The one-line machine-readable form — the same bytes the analysis
@@ -276,8 +271,9 @@ struct ManifestReportEntry {
 }
 
 /// Runs the detector suite over every lowered program in an ingest
-/// manifest (`check --manifest <path>`). Exit: 2 on a load/parse error,
-/// failure when any program has findings, success otherwise.
+/// manifest (`check --manifest <path>`), `jobs` programs at once. Exit: 2
+/// on a load, parse or validation error, failure when any program has
+/// findings, success otherwise.
 fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) -> ExitCode {
     use rust_safety_study::ingest::Manifest;
     let m = match Manifest::load(Path::new(mpath)) {
@@ -289,13 +285,18 @@ fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) 
     };
     let mut programs = Vec::new();
     for (path, unit) in m.lowered_units() {
-        match parse_program(&unit.program) {
-            Ok(p) => programs.push((path.to_owned(), p)),
+        let program = match parse_program(&unit.program) {
+            Ok(p) => p,
             Err(e) => {
                 eprintln!("check: {mpath}: {path}: {e}");
                 return ExitCode::from(2);
             }
+        };
+        if let Err(errs) = validate_program(&program) {
+            eprintln!("check: {mpath}: {path}: invalid program: {}", errs[0]);
+            return ExitCode::from(2);
         }
+        programs.push((path.to_owned(), program));
     }
     let suite = DetectorSuite::new().with_config(config).with_jobs(jobs);
     let reports = suite.check_programs(programs.iter().map(|(n, p)| (n.as_str(), p)));
@@ -399,9 +400,8 @@ fn cmd_ingest(args: &mut Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses and runs the `serve` subcommand. `default_jobs` is the global
-/// `--jobs` value (0 = auto), applied to requests that omit `jobs`.
-fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
+/// Parses and runs the `serve` subcommand.
+fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
     use rust_safety_study::serve::{install_sigint_handler, serve_stream, ServeConfig, Server};
 
     fn positive(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
@@ -476,12 +476,10 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
         queue_depth,
         timeout_ms,
         cache_dir,
-        default_jobs,
         metrics_port,
         access_log,
         access_log_sample,
         slow_ms,
-        ..ServeConfig::default()
     };
 
     let served = if stdin_mode {
@@ -520,11 +518,10 @@ fn cmd_serve(args: &mut Vec<String>, default_jobs: usize) -> ExitCode {
 }
 
 /// Parses and runs the `loadgen` subcommand: replay corpus programs
-/// against a server and write the `BENCH_serve.json` (and optionally
-/// `BENCH_suite.json`) baselines. Exits non-zero if any request failed, so
-/// CI can assert on the exit code alone.
+/// against a server and write the `BENCH_serve.json` baseline. Exits
+/// non-zero if any request failed, so CI can assert on the exit code alone.
 fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
-    use rust_safety_study::serve::loadgen::{bench_suite, run, LoadgenConfig};
+    use rust_safety_study::serve::loadgen::{run, LoadgenConfig};
 
     let parsed = (|| {
         let mut config = LoadgenConfig::default();
@@ -571,13 +568,12 @@ fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
             return Err("--scrape with --addr needs --scrape-addr".to_owned());
         }
         let out = take_value(args, "--out")?.unwrap_or_else(|| "BENCH_serve.json".to_owned());
-        let suite_out = take_value(args, "--suite-out")?;
         if let Some(stray) = args.first() {
             return Err(format!("loadgen: unexpected argument `{stray}`"));
         }
-        Ok((config, out, suite_out))
+        Ok((config, out))
     })();
-    let (config, out, suite_out) = match parsed {
+    let (config, out) = match parsed {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}\n{USAGE}");
@@ -600,18 +596,6 @@ fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {out}");
-
-    if let Some(path) = suite_out {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let jobs_list = if cores > 1 { vec![1, cores] } else { vec![1] };
-        let value = bench_suite(&jobs_list, 2);
-        let json = serde_json::to_string_pretty(&value).expect("report serialization cannot fail");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("loadgen: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
 
     if report.errors > 0 {
         eprintln!("loadgen: {} request(s) failed", report.errors);

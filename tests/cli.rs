@@ -185,21 +185,55 @@ fn metrics_json_with_an_empty_equals_value_is_a_usage_error() {
     assert!(stderr.contains("--metrics-json: missing value"), "{stderr}");
 }
 
+/// Writes a small Rust tree with several lowerable files and ingests it;
+/// returns the manifest path.
+fn ingested_manifest(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir()
+        .join("rstudy-cli-ingest")
+        .join(format!("{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("src")).unwrap();
+    for (file, source) in [
+        ("math.rs", "fn double(x: i32) -> i32 { x * 2 }\nfn quad(x: i32) -> i32 { double(double(x)) }\n"),
+        ("raw.rs", "unsafe fn read(p: *const u8) -> u8 { *p }\nfn write_one(p: *mut i32) { unsafe { *p = 1; } }\n"),
+        ("sum.rs", "fn add(x: i32, y: i32) -> i32 { x + y }\nfn add3(x: i32) -> i32 { add(add(x, x), x) }\n"),
+        ("id.rs", "fn id(x: u8) -> u8 { x }\n"),
+    ] {
+        std::fs::write(dir.join("src").join(file), source).unwrap();
+    }
+    let manifest = dir.join("manifest.json");
+    rust_safety_study::ingest::ingest(&dir, "cli-jobs")
+        .unwrap()
+        .save(&manifest)
+        .unwrap();
+    manifest
+}
+
 #[test]
 fn jobs_does_not_change_check_output() {
-    let base = bin()
-        .args(["check", &mir_path("use_after_free.mir"), "--jobs", "1"])
-        .output()
-        .expect("binary runs");
-    let parallel = bin()
-        .args(["check", &mir_path("use_after_free.mir"), "--jobs", "4"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(base.status.code(), parallel.status.code());
-    assert_eq!(
-        base.stdout, parallel.stdout,
-        "reports must be byte-identical"
-    );
+    let manifest = ingested_manifest("jobs");
+    let manifest = manifest.to_str().unwrap();
+    for extra in [&[][..], &["--json"][..]] {
+        let run = |jobs: &str| {
+            bin()
+                .args(["check", "--manifest", manifest, "--jobs", jobs])
+                .args(extra)
+                .output()
+                .expect("binary runs")
+        };
+        let base = run("1");
+        let parallel = run("4");
+        assert_eq!(base.status.code(), parallel.status.code());
+        assert_eq!(
+            base.stdout, parallel.stdout,
+            "reports must be byte-identical"
+        );
+        let stdout = String::from_utf8_lossy(&base.stdout);
+        assert!(
+            stdout.contains("4 program(s)") || stdout.contains(r#""programs":4"#),
+            "every lowered file is checked: {stdout}"
+        );
+    }
 }
 
 #[test]
@@ -411,8 +445,9 @@ fn serve_flag_validation_is_a_usage_error() {
     // Each row: the arguments, and what the error line (printed before
     // the usage text) must name.
     for (args, names) in [
-        // `--jobs 0` is rejected for serve exactly as for check.
+        // `--jobs` is a `check` flag: a stray argument for serve.
         (&["serve", "--jobs", "0"][..], "--jobs"),
+        (&["serve", "--jobs", "2"][..], "--jobs"),
         (&["serve", "--port", "notaport"][..], "--port"),
         (&["serve", "--timeout-ms", "0"][..], "--timeout-ms"),
         (&["serve", "--queue-depth", "0"][..], "--queue-depth"),

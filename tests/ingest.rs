@@ -121,6 +121,37 @@ fn cli_ingest_then_check_manifest_round_trips() {
 }
 
 #[test]
+fn check_manifest_rejects_an_invalid_unit_with_a_usage_error() {
+    let dir = fixture_tree("invalid");
+    let manifest_path = dir.join("manifest.json");
+    ingest(&dir, "invalid-fixture")
+        .unwrap()
+        .save(&manifest_path)
+        .unwrap();
+    // Rewrite the manifest in place so `double` returns a local it never
+    // declared: the unit still parses, but fails validation.
+    let before = std::fs::read_to_string(&manifest_path).unwrap();
+    let after = before.replacen("_0 = _2;", "_0 = _9;", 1);
+    assert_ne!(before, after);
+    std::fs::write(&manifest_path, after).unwrap();
+
+    let manifest = manifest_path.to_str().unwrap();
+    let out = bin()
+        .args(["check", "--manifest", manifest])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!(
+            "check: {manifest}: src/math.rs: invalid program: "
+        )),
+        "{stderr}"
+    );
+    assert!(stderr.contains("_9 out of range"), "{stderr}");
+}
+
+#[test]
 fn serve_analyzes_every_ingested_entry_with_zero_errors() {
     let dir = fixture_tree("serve");
     let manifest = ingest(&dir, "serve-fixture").unwrap();

@@ -188,6 +188,25 @@ fn resubmission_hits_the_cache_and_bumps_the_counter() {
 }
 
 #[test]
+fn hot_entry_survives_two_hundred_fresh_inserts() {
+    let (addr, handle, join) = boot(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr);
+    for seed in 0..200 {
+        let fresh = client.round_trip(&check_request("f", &clean_program(8000 + seed), ""));
+        assert_eq!(status(&fresh), "ok", "{fresh:?}");
+        assert!(!cached(&fresh), "{fresh:?}");
+    }
+    let repeat = client.round_trip(&check_request("r", &clean_program(8000), ""));
+    assert_eq!(status(&repeat), "ok", "{repeat:?}");
+    assert!(cached(&repeat), "the first report was evicted: {repeat:?}");
+    handle.begin_shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn served_report_is_byte_identical_to_check_json() {
     let (addr, handle, join) = boot(ServeConfig::default());
     let path = mir_path("serve_smoke_buggy.mir");
@@ -292,13 +311,8 @@ fn reverse_pointer_chain(links: usize) -> String {
 /// once as such, and its late report is cached but never counted `ok`.
 fn late_analysis_counts_only_the_timeout(mut round_trip: impl FnMut(&str) -> Value) {
     // 2,000 links take about a second unoptimized and 0.1 s optimized:
-    // far past the deadline either way. One suite thread keeps the late
-    // analysis from crowding the tests running beside it.
-    let late = round_trip(&check_request(
-        "late",
-        &reverse_pointer_chain(2000),
-        r#","jobs":1"#,
-    ));
+    // far past the deadline either way.
+    let late = round_trip(&check_request("late", &reverse_pointer_chain(2000), ""));
     assert_eq!(status(&late), "timeout", "{late:?}");
     let mut stats = || {
         let reply = round_trip(r#"{"id":"s","cmd":"stats"}"#);
@@ -390,6 +404,7 @@ fn malformed_and_invalid_requests_get_error_responses() {
         "error should list valid detectors: {bad_detector:?}"
     );
 
+    // `jobs` is not a request field: the suite runs inline on its worker.
     let jobs_zero = client.round_trip(&check_request("j0", &clean_program(7201), r#","jobs":0"#));
     assert_eq!(status(&jobs_zero), "error", "{jobs_zero:?}");
     assert!(
@@ -397,7 +412,7 @@ fn malformed_and_invalid_requests_get_error_responses() {
             .get("error")
             .and_then(Value::as_str)
             .unwrap()
-            .contains("positive integer"),
+            .contains("unknown field `jobs`"),
         "{jobs_zero:?}"
     );
 

@@ -1,32 +1,56 @@
-//! The parallel detector suite must be indistinguishable from the
-//! sequential one: same diagnostics, byte for byte, at any `--jobs`
-//! setting and with the shared analysis cache on or off.
+//! The detector suite's reports do not depend on how the work is spread:
+//! `check_programs` gives the same diagnostics, byte for byte, at any
+//! `--jobs` setting, and a single program's report is the same with the
+//! shared analysis cache on or off.
 
 use rust_safety_study::core::config::DetectorConfig;
 use rust_safety_study::core::detectors::{AnalysisContext, Detector, DoubleFree, UseAfterFree};
-use rust_safety_study::core::suite::DetectorSuite;
+use rust_safety_study::core::suite::{DetectorSuite, Report};
 use rust_safety_study::corpus::all_entries;
 use rust_safety_study::mir::Program;
 
 /// Renders a report into comparable lines.
-fn rendered(program: &Program, jobs: usize, shared_cache: bool) -> Vec<String> {
-    DetectorSuite::new()
-        .with_jobs(jobs)
-        .with_shared_cache(shared_cache)
-        .check_program(program)
-        .diagnostics()
-        .iter()
-        .map(|d| d.to_string())
-        .collect()
+fn lines(report: &Report) -> Vec<String> {
+    report.diagnostics().iter().map(|d| d.to_string()).collect()
+}
+
+fn rendered(program: &Program, shared_cache: bool) -> Vec<String> {
+    lines(
+        &DetectorSuite::new()
+            .with_shared_cache(shared_cache)
+            .check_program(program),
+    )
 }
 
 #[test]
 fn parallel_reports_match_sequential_over_the_whole_corpus() {
-    for entry in all_entries() {
-        let program = entry.program();
-        let seq = rendered(&program, 1, true);
-        let par = rendered(&program, 8, true);
-        assert_eq!(seq, par, "entry `{}` diverges under --jobs 8", entry.name);
+    let entries = all_entries();
+    let programs: Vec<Program> = entries.iter().map(|e| e.program()).collect();
+    let named: Vec<(&str, &Program)> = entries.iter().map(|e| e.name).zip(&programs).collect();
+    let seq = DetectorSuite::new()
+        .with_jobs(1)
+        .check_programs(named.clone());
+    let par = DetectorSuite::new().with_jobs(8).check_programs(named);
+    assert_eq!(seq.len(), entries.len());
+    assert_eq!(par.len(), entries.len());
+    for (((entry, program), (seq_name, seq)), (par_name, par)) in
+        entries.iter().zip(&programs).zip(&seq).zip(&par)
+    {
+        assert_eq!(seq_name, entry.name);
+        assert_eq!(par_name, entry.name);
+        let one = rendered(program, true);
+        assert_eq!(
+            lines(seq),
+            one,
+            "entry `{}` diverges at --jobs 1",
+            entry.name
+        );
+        assert_eq!(
+            lines(par),
+            one,
+            "entry `{}` diverges at --jobs 8",
+            entry.name
+        );
     }
 }
 
@@ -34,8 +58,8 @@ fn parallel_reports_match_sequential_over_the_whole_corpus() {
 fn disabling_the_shared_cache_changes_nothing_but_speed() {
     for entry in all_entries() {
         let program = entry.program();
-        let cached = rendered(&program, 4, true);
-        let fresh = rendered(&program, 4, false);
+        let cached = rendered(&program, true);
+        let fresh = rendered(&program, false);
         assert_eq!(
             cached, fresh,
             "entry `{}` diverges without the shared cache",

@@ -60,6 +60,96 @@ fn metrics_json_contains_one_span_per_detector() {
 }
 
 #[test]
+fn served_detector_spans_nest_under_serve_check() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let json_path =
+        std::env::temp_dir().join(format!("rstudy-serve-spans-{}.json", std::process::id()));
+    let mut child = bin()
+        .args([
+            "serve",
+            "--stdin",
+            "--workers",
+            "1",
+            "--metrics-json",
+            json_path.to_str().unwrap(),
+        ])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn serve --stdin");
+    let request = format!(
+        r#"{{"id":"s1","path":{:?}}}"#,
+        mir_path("serve_smoke_buggy.mir")
+    );
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, "{request}").unwrap();
+    drop(stdin); // EOF = graceful drain, then the metrics are written
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "{out:?}");
+    let json = std::fs::read_to_string(&json_path).expect("metrics file written");
+    let _ = std::fs::remove_file(&json_path);
+    let snap: Snapshot = serde_json::from_str(&json).expect("metrics parse as a Snapshot");
+
+    assert!(
+        snap.span_at("suite").is_none(),
+        "no root suite node: {json}"
+    );
+    let suite = snap
+        .span_at("serve.worker/serve.request/serve.check/suite")
+        .unwrap_or_else(|| panic!("the suite runs inside serve.check: {json}"));
+    assert_eq!(suite.count, 1);
+    for name in DetectorSuite::new().detector_names() {
+        let child = format!("detector.{name}");
+        let node = suite
+            .children
+            .iter()
+            .find(|n| n.name == child)
+            .unwrap_or_else(|| panic!("missing span {child} under serve.check/suite"));
+        assert_eq!(node.count, 1, "{child}");
+    }
+    let detectors: u64 = suite.children.iter().map(|n| n.total_ns).sum();
+    assert!(
+        detectors <= suite.total_ns,
+        "{detectors} > {}",
+        suite.total_ns
+    );
+}
+
+#[test]
+fn trace_out_has_a_span_pair_per_detector() {
+    use serde::Value;
+    let trace_path =
+        std::env::temp_dir().join(format!("rstudy-detector-trace-{}.json", std::process::id()));
+    bin()
+        .args([
+            "check",
+            &mir_path("use_after_free.mir"),
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let json = std::fs::read_to_string(&trace_path).expect("trace file written");
+    let _ = std::fs::remove_file(&trace_path);
+    let events: Value = serde_json::from_str(&json).expect("valid JSON");
+    let events = events.as_array().expect("a Chrome trace is a JSON array");
+    for name in DetectorSuite::new().detector_names() {
+        let span = format!("detector.{name}");
+        let count = |phase: &str| {
+            events
+                .iter()
+                .filter(|e| {
+                    e.get("name").and_then(Value::as_str) == Some(span.as_str())
+                        && e.get("ph").and_then(Value::as_str) == Some(phase)
+                })
+                .count()
+        };
+        assert_eq!((count("B"), count("E")), (1, 1), "{span} in {json}");
+    }
+}
+
+#[test]
 fn profile_prints_the_span_tree() {
     let out = bin()
         .args(["check", &mir_path("use_after_free.mir"), "--profile"])
