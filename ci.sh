@@ -104,9 +104,9 @@ fi
 
 echo "== observability smoke check =="
 # Boot a fresh server with the scrape endpoint and access log on, drive it
-# with loadgen's embedded cross-check, then independently verify the
-# Prometheus counter and the access-log line count against the request
-# count.
+# with loadgen, then verify the scraped request counter, the scraped
+# latency-histogram count and the access-log line count against the
+# request count.
 OBS_REQUESTS=25
 "$BIN" serve --port 0 --workers 2 --metrics-port 0 \
     --access-log "$SERVE_TMP/access.ndjson" \
@@ -125,18 +125,18 @@ if [ -z "$OBS_PORT" ] || [ -z "$MET_PORT" ]; then
     exit 1
 fi
 "$BIN" loadgen --requests "$OBS_REQUESTS" --connections 2 \
-    --addr "127.0.0.1:$OBS_PORT" --scrape-addr "127.0.0.1:$MET_PORT" \
-    --out "$SERVE_TMP/BENCH_obs.json"
-grep -q '"matches_requests": true' "$SERVE_TMP/BENCH_obs.json"
+    --addr "127.0.0.1:$OBS_PORT" --out "$SERVE_TMP/BENCH_obs.json"
 exec 5<>"/dev/tcp/127.0.0.1/$MET_PORT"
 printf 'GET /metrics HTTP/1.0\r\n\r\n' >&5
 SCRAPE=$(cat <&5)
 exec 5<&- 5>&-
-TOTAL=$(printf '%s\n' "$SCRAPE" | sed -n 's/^rstudy_requests_total \([0-9][0-9]*\).*/\1/p')
-if [ -z "$TOTAL" ] || [ "$TOTAL" -ne "$OBS_REQUESTS" ]; then
-    echo "FAIL: scraped rstudy_requests_total is ${TOTAL:-missing}, want $OBS_REQUESTS" >&2
-    exit 1
-fi
+for series in rstudy_requests_total rstudy_request_latency_ns_count; do
+    VALUE=$(printf '%s\n' "$SCRAPE" | sed -n "s/^$series \([0-9][0-9]*\).*/\1/p")
+    if [ -z "$VALUE" ] || [ "$VALUE" -ne "$OBS_REQUESTS" ]; then
+        echo "FAIL: scraped $series is ${VALUE:-missing}, want $OBS_REQUESTS" >&2
+        exit 1
+    fi
+done
 exec 5<>"/dev/tcp/127.0.0.1/$OBS_PORT"
 printf '{"id":"bye","cmd":"shutdown"}\n' >&5
 IFS= read -r -t 20 _ <&5 || true

@@ -11,8 +11,7 @@
 //!    the textual MIR dialect, skipping unsupported constructs with counted
 //!    reasons;
 //! 4. [`manifest`] registers the result as one deterministic JSON document
-//!    consumable by `check`, the detector suite, `rstudy-serve`, and
-//!    `loadgen`.
+//!    consumable by `check`, the detector suite, and `rstudy-serve`.
 //!
 //! Nothing in the pipeline aborts on messy input: unreadable, non-UTF-8 and
 //! empty files, unsupported language constructs, and unwalkable directory

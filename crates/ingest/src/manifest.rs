@@ -7,9 +7,8 @@
 //! twice yields byte-identical manifests, so manifests can be diffed,
 //! cached, and committed as artifacts.
 //!
-//! Consumers: `rstudy check --manifest` analyzes every lowered program,
-//! `rstudy-serve` serves entries by path, and `loadgen` builds request mixes
-//! from them.
+//! Consumers: `rstudy check --manifest` analyzes every lowered program, and
+//! `rstudy-serve` serves entries by path.
 
 use std::collections::BTreeMap;
 use std::io;

@@ -16,7 +16,8 @@
 //! Entries store the *compact report JSON text*. Re-serializing a parsed
 //! entry reproduces the stored bytes (the JSON data model preserves field
 //! order), so cached and freshly-computed responses embed byte-identical
-//! report objects.
+//! report objects. A lookup counts as a hit only when the stored text
+//! decodes: a corrupt disk file is a miss and is never promoted.
 //!
 //! [`ResultCache::key`] folds in [`rstudy_core::SUITE_VERSION`], so a
 //! cache directory written by an older detector suite is silently treated
@@ -30,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rstudy_core::SUITE_VERSION;
+use serde::Value;
 
 /// A cache key: the FNV-1a hash of the request's semantic content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,14 +67,14 @@ struct MemTier {
     clock: u64,
 }
 
-/// Running totals, exported via `stats` responses and telemetry.
+/// Running totals, exported via `stats`, `metrics` and `/metrics`.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     /// Memory-tier hits.
     pub mem_hits: AtomicU64,
-    /// Disk-tier hits (missed memory, found on disk).
+    /// Disk-tier hits (missed memory, found on disk and decoded).
     pub disk_hits: AtomicU64,
-    /// Full misses (the analysis ran).
+    /// Misses: no entry, or one that did not decode.
     pub misses: AtomicU64,
 }
 
@@ -82,8 +84,7 @@ pub struct ResultCache {
     mem: Mutex<MemTier>,
     capacity: usize,
     dir: Option<PathBuf>,
-    /// Counters for `stats` responses; telemetry counters are bumped at
-    /// the call sites so disabled telemetry stays a no-op.
+    /// Hit and miss counters, one per lookup.
     pub stats: CacheStats,
 }
 
@@ -123,24 +124,30 @@ impl ResultCache {
         CacheKey(h)
     }
 
-    /// Looks up a report, memory tier first, then disk. Returns the stored
-    /// compact report JSON. Updates hit/miss statistics.
-    pub fn get(&self, key: CacheKey) -> Option<String> {
-        {
+    /// Looks up a report, memory tier first, then disk, and decodes it.
+    /// Counts exactly one hit or miss: text that does not decode is a
+    /// miss, and a disk entry is promoted to memory only once it decodes.
+    pub fn get(&self, key: CacheKey) -> Option<Value> {
+        let mem_text = {
             let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
             mem.clock += 1;
             let clock = mem.clock;
-            if let Some(entry) = mem.entries.get_mut(&key.0) {
+            mem.entries.get_mut(&key.0).map(|entry| {
                 entry.last_used = clock;
-                self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.report_json.clone());
-            }
+                entry.report_json.clone()
+            })
+        };
+        if let Some(report) = mem_text.and_then(|text| serde_json::from_str(&text).ok()) {
+            self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
+            return Some(report);
         }
         if let Some(dir) = &self.dir {
             if let Ok(report_json) = fs::read_to_string(dir.join(key.file_name())) {
-                self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.insert_mem(key, report_json.clone());
-                return Some(report_json);
+                if let Ok(report) = serde_json::from_str(&report_json) {
+                    self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+                    self.insert_mem(key, report_json);
+                    return Some(report);
+                }
             }
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -239,20 +246,27 @@ mod tests {
         );
     }
 
+    /// The looked-up report re-encoded: on a hit, the stored bytes.
+    fn get_text(cache: &ResultCache, key: CacheKey) -> Option<String> {
+        cache
+            .get(key)
+            .map(|report| serde_json::to_string(&report).unwrap())
+    }
+
     #[test]
     fn memory_tier_hits_and_evicts_lru() {
         let cache = ResultCache::new(2, None).unwrap();
         let (k1, k2, k3) = (CacheKey(1), CacheKey(2), CacheKey(3));
         assert_eq!(cache.get(k1), None);
-        cache.put(k1, "r1").unwrap();
-        cache.put(k2, "r2").unwrap();
-        assert_eq!(cache.get(k1).as_deref(), Some("r1"));
+        cache.put(k1, "[1]").unwrap();
+        cache.put(k2, "[2]").unwrap();
+        assert_eq!(get_text(&cache, k1).as_deref(), Some("[1]"));
         // k2 is now least recently used; inserting k3 evicts it.
-        cache.put(k3, "r3").unwrap();
+        cache.put(k3, "[3]").unwrap();
         assert_eq!(cache.mem_len(), 2);
         assert_eq!(cache.get(k2), None);
-        assert_eq!(cache.get(k1).as_deref(), Some("r1"));
-        assert_eq!(cache.get(k3).as_deref(), Some("r3"));
+        assert_eq!(get_text(&cache, k1).as_deref(), Some("[1]"));
+        assert_eq!(get_text(&cache, k3).as_deref(), Some("[3]"));
         assert_eq!(cache.stats.misses.load(Ordering::Relaxed), 2);
         assert!(cache.stats.mem_hits.load(Ordering::Relaxed) >= 3);
     }
@@ -267,11 +281,27 @@ mod tests {
             cache.put(key, r#"{"diagnostics":[]}"#).unwrap();
         }
         let cold = ResultCache::new(8, Some(dir.clone())).unwrap();
-        assert_eq!(cold.get(key).as_deref(), Some(r#"{"diagnostics":[]}"#));
+        let text = get_text(&cold, key);
+        assert_eq!(text.as_deref(), Some(r#"{"diagnostics":[]}"#));
         assert_eq!(cold.stats.disk_hits.load(Ordering::Relaxed), 1);
         // The disk hit was promoted: the next lookup hits memory.
-        assert_eq!(cold.get(key).as_deref(), Some(r#"{"diagnostics":[]}"#));
+        let text = get_text(&cold, key);
+        assert_eq!(text.as_deref(), Some(r#"{"diagnostics":[]}"#));
         assert_eq!(cold.stats.mem_hits.load(Ordering::Relaxed), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_disk_entry_is_a_miss_and_is_not_promoted() {
+        let dir = std::env::temp_dir().join(format!("rstudy-corrupt-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(8, Some(dir.clone())).unwrap();
+        let key = CacheKey(0xbad);
+        fs::write(dir.join(key.file_name()), "not json").unwrap();
+        assert_eq!(cache.get(key), None);
+        assert_eq!(cache.mem_len(), 0);
+        assert_eq!(cache.stats.disk_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(cache.stats.misses.load(Ordering::Relaxed), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

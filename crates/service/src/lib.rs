@@ -51,7 +51,7 @@ pub mod queue;
 pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
-pub use loadgen::{LoadgenConfig, LoadgenReport, ScrapeSummary};
+pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{CheckRequest, Command, ProgramSource, Request, RequestError};
 pub use queue::{JobQueue, PushError};
 pub use server::{install_sigint_handler, serve_stream, ServeConfig, Server, ServerHandle};

@@ -1,15 +1,12 @@
-//! Open-loop load generator for the analysis service. It writes the
+//! Closed-loop load generator for the analysis service. It writes the
 //! stable-schema `BENCH_serve.json` artifact so successive commits can be
 //! compared number-for-number.
 //!
 //! The load generator replays a configurable mix of corpus programs
 //! against a running server — either one the caller already started
-//! (`addr`) or one booted in-process on an ephemeral port — at an
-//! open-loop target rate: request *i* is *scheduled* at `start + i/rate`
-//! regardless of how fast earlier responses came back, so a slow server
-//! shows up as latency instead of silently throttling the workload
-//! (bounded by `connections` concurrent in-flight requests per the usual
-//! closed-connection caveat).
+//! (`addr`) or one booted in-process on an ephemeral port. Each of the
+//! `connections` clients sends its next request as soon as the previous
+//! answer lands.
 //!
 //! Client-side wall latency is measured per request; server-side
 //! `queue_ns`/`analysis_ns` stage timings are harvested from the `timing`
@@ -17,9 +14,9 @@
 //! waiting for a worker" from "time spent analyzing".
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
@@ -32,41 +29,23 @@ use crate::server::{histogram_summary, ServeConfig, Server};
 pub struct LoadgenConfig {
     /// Total requests to send.
     pub requests: usize,
-    /// Open-loop target rate in requests/second; `0.0` sends unpaced
-    /// (each connection fires as soon as its previous response lands).
-    pub rate: f64,
     /// Concurrent client connections.
     pub connections: usize,
     /// Server to hit; `None` boots an in-process server on an ephemeral
     /// loopback port and shuts it down afterwards.
     pub addr: Option<SocketAddr>,
     /// Corpus entry names to cycle through; empty selects
-    /// [`LoadgenConfig::default_mix`]. With `manifest` set, names are
-    /// root-relative source-file paths inside the manifest instead.
+    /// [`LoadgenConfig::default_mix`].
     pub mix: Vec<String>,
-    /// Replay lowered programs out of an ingest manifest instead of the
-    /// built-in corpus; empty `mix` cycles through every lowered unit.
-    pub manifest: Option<std::path::PathBuf>,
-    /// Scrape `GET /metrics` during and after the run and embed a
-    /// [`ScrapeSummary`] cross-check in the report. For an in-process
-    /// server this turns the scrape endpoint on automatically.
-    pub scrape: bool,
-    /// The external server's scrape endpoint (implies `scrape`); ignored
-    /// for in-process runs, which read the bound address directly.
-    pub scrape_addr: Option<SocketAddr>,
 }
 
 impl Default for LoadgenConfig {
     fn default() -> LoadgenConfig {
         LoadgenConfig {
             requests: 100,
-            rate: 0.0,
             connections: 4,
             addr: None,
             mix: Vec::new(),
-            manifest: None,
-            scrape: false,
-            scrape_addr: None,
         }
     }
 }
@@ -106,8 +85,6 @@ pub struct LoadgenReport {
     pub statuses: BTreeMap<String, u64>,
     /// Wall-clock duration of the whole run.
     pub duration: Duration,
-    /// The configured open-loop rate (0 = unpaced).
-    pub target_rate: f64,
     /// Requests actually completed per second.
     pub achieved_rps: f64,
     /// Client-side wall latency per request, nanoseconds.
@@ -120,45 +97,6 @@ pub struct LoadgenReport {
     pub mix: Vec<String>,
     /// Concurrent connections used.
     pub connections: usize,
-    /// The `/metrics` cross-check, when scraping was requested.
-    pub scrape: Option<ScrapeSummary>,
-}
-
-/// What scraping `GET /metrics` during a loadgen run observed — a sanity
-/// cross-check between the server's Prometheus counters and the client's
-/// own request count, embedded in `BENCH_serve.json`.
-#[derive(Debug, Clone)]
-pub struct ScrapeSummary {
-    /// Successful scrapes (mid-run polls plus the final one).
-    pub scrapes: u64,
-    /// `rstudy_requests_total` from the final scrape.
-    pub requests_total: u64,
-    /// `rstudy_request_latency_ns_count` from the final scrape.
-    pub latency_count: u64,
-    /// `rstudy_requests_total` never decreased across scrapes.
-    pub monotone: bool,
-    /// Both final values equal the requests this run sent. Expected to
-    /// hold only for a fresh in-process server (an external one may carry
-    /// earlier traffic).
-    pub matches_requests: bool,
-}
-
-impl ScrapeSummary {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("scrapes".to_owned(), Value::UInt(self.scrapes)),
-            (
-                "requests_total".to_owned(),
-                Value::UInt(self.requests_total),
-            ),
-            ("latency_count".to_owned(), Value::UInt(self.latency_count)),
-            ("monotone".to_owned(), Value::Bool(self.monotone)),
-            (
-                "matches_requests".to_owned(),
-                Value::Bool(self.matches_requests),
-            ),
-        ])
-    }
 }
 
 impl LoadgenReport {
@@ -170,7 +108,7 @@ impl LoadgenReport {
             .iter()
             .map(|(k, v)| (k.clone(), Value::UInt(*v)))
             .collect();
-        let mut value = Value::Map(vec![
+        Value::Map(vec![
             (
                 "schema".to_owned(),
                 Value::Str("rstudy-bench-serve/v1".to_owned()),
@@ -184,7 +122,6 @@ impl LoadgenReport {
                 "connections".to_owned(),
                 Value::UInt(self.connections as u64),
             ),
-            ("target_rate".to_owned(), Value::Float(self.target_rate)),
             ("achieved_rps".to_owned(), Value::Float(self.achieved_rps)),
             (
                 "duration_ms".to_owned(),
@@ -200,14 +137,7 @@ impl LoadgenReport {
                 "mix".to_owned(),
                 Value::Seq(self.mix.iter().map(|m| Value::Str(m.clone())).collect()),
             ),
-        ]);
-        let Value::Map(ref mut entries) = value else {
-            unreachable!("built as a map above");
-        };
-        if let Some(scrape) = &self.scrape {
-            entries.push(("scrape".to_owned(), scrape.to_value()));
-        }
-        value
+        ])
     }
 
     /// A short human-readable summary table.
@@ -240,16 +170,6 @@ impl LoadgenReport {
                 format_ns(h.max),
             ));
         }
-        if let Some(scrape) = &self.scrape {
-            out.push_str(&format!(
-                "  scrape    {} scrape(s)  requests_total {}  latency count {}  monotone {}  matches {}\n",
-                scrape.scrapes,
-                scrape.requests_total,
-                scrape.latency_count,
-                scrape.monotone,
-                scrape.matches_requests,
-            ));
-        }
         out
     }
 }
@@ -279,78 +199,33 @@ struct Sinks {
 /// address is given. Returns an error only on setup failure (bad mix name,
 /// unreachable server); per-request failures are counted in the report.
 pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
-    let (mix_names, programs) = if let Some(mpath) = &config.manifest {
-        let m = rstudy_ingest::Manifest::load(mpath)?;
-        if config.mix.is_empty() {
-            let (names, programs): (Vec<String>, Vec<String>) = m
-                .lowered_units()
-                .map(|(path, unit)| (path.to_owned(), unit.program.clone()))
-                .unzip();
-            if names.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("{}: manifest has no lowered programs", mpath.display()),
-                ));
-            }
-            (names, programs)
-        } else {
-            let mut programs = Vec::with_capacity(config.mix.len());
-            for name in &config.mix {
-                let unit = m.find_program(name).ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("no lowered program for entry `{name}` in manifest mix"),
-                    )
-                })?;
-                programs.push(unit.program.clone());
-            }
-            (config.mix.clone(), programs)
-        }
+    let mix_names = if config.mix.is_empty() {
+        LoadgenConfig::default_mix()
     } else {
-        let mix_names = if config.mix.is_empty() {
-            LoadgenConfig::default_mix()
-        } else {
-            config.mix.clone()
-        };
-        let entries = rstudy_corpus::all_entries();
-        let mut programs = Vec::with_capacity(mix_names.len());
-        for name in &mix_names {
-            let entry = entries.iter().find(|e| e.name == *name).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown corpus program `{name}` in mix"),
-                )
-            })?;
-            programs.push(entry.source.to_owned());
-        }
-        (mix_names, programs)
+        config.mix.clone()
     };
+    let entries = rstudy_corpus::all_entries();
+    let mut programs = Vec::with_capacity(mix_names.len());
+    for name in &mix_names {
+        let entry = entries.iter().find(|e| e.name == *name).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unknown corpus program `{name}` in mix"),
+            )
+        })?;
+        programs.push(entry.source.to_owned());
+    }
     let connections = config.connections.max(1);
 
-    let scrape = config.scrape || config.scrape_addr.is_some();
-
     // Boot an in-process server when the caller did not point us at one.
-    let (addr, metrics_addr, server_thread, handle) = match config.addr {
-        Some(addr) => {
-            if scrape && config.scrape_addr.is_none() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "--scrape against an external server needs --scrape-addr",
-                ));
-            }
-            (addr, config.scrape_addr, None, None)
-        }
+    let (addr, server_thread, handle) = match config.addr {
+        Some(addr) => (addr, None, None),
         None => {
-            let serve_config = ServeConfig {
-                metrics_port: scrape.then_some(0),
-                ..ServeConfig::default()
-            };
-            let server = Server::bind(0, serve_config)?;
+            let server = Server::bind(0, ServeConfig::default())?;
             let addr = server.local_addr()?;
-            let metrics_addr = server.metrics_addr();
             let handle = server.handle();
             let thread = std::thread::spawn(move || server.run());
-            (addr, metrics_addr, Some(thread), Some(handle))
+            (addr, Some(thread), Some(handle))
         }
     };
 
@@ -365,70 +240,28 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
     let mut statuses: BTreeMap<String, u64> = BTreeMap::new();
     let start = Instant::now();
 
-    let stop_scraping = AtomicBool::new(false);
-    let (per_status, monitor): (Vec<BTreeMap<String, u64>>, Option<ScrapeMonitor>) =
-        std::thread::scope(|s| {
-            let monitor = metrics_addr.map(|maddr| {
-                let stop = &stop_scraping;
-                s.spawn(move || scrape_monitor(maddr, stop))
-            });
-            let mut joins = Vec::with_capacity(connections);
-            for conn in 0..connections {
-                let programs = &programs;
-                let sinks = &sinks;
-                let rate = config.rate;
-                let total = config.requests;
-                joins.push(s.spawn(move || {
-                    connection_loop(conn, connections, total, rate, start, programs, sinks, addr)
-                }));
-            }
-            let per_status = joins
-                .into_iter()
-                .map(|j| j.join().unwrap_or_default())
-                .collect();
-            stop_scraping.store(true, Ordering::Relaxed);
-            let monitor = monitor.and_then(|j| j.join().ok());
-            (per_status, monitor)
-        });
+    let per_status: Vec<BTreeMap<String, u64>> = std::thread::scope(|s| {
+        let mut joins = Vec::with_capacity(connections);
+        for conn in 0..connections {
+            let programs = &programs;
+            let sinks = &sinks;
+            let total = config.requests;
+            joins.push(
+                s.spawn(move || connection_loop(conn, connections, total, programs, sinks, addr)),
+            );
+        }
+        joins
+            .into_iter()
+            .map(|j| j.join().unwrap_or_default())
+            .collect()
+    });
     for map in per_status {
         for (status, n) in map {
             *statuses.entry(status).or_insert(0) += n;
         }
     }
     let duration = start.elapsed();
-
     let requests = config.requests as u64;
-
-    // The final authoritative scrape happens after every client has its
-    // response (so the server has settled all requests) but before the
-    // server is torn down.
-    let scrape_summary = metrics_addr.map(|maddr| {
-        let monitor = monitor.unwrap_or(ScrapeMonitor {
-            scrapes: 0,
-            monotone: true,
-            last_requests_total: 0,
-        });
-        match scrape_metrics(maddr) {
-            Ok(body) => {
-                let requests_total = prom_u64(&body, "rstudy_requests_total").unwrap_or(0);
-                let latency_count = prom_u64(&body, "rstudy_request_latency_ns_count").unwrap_or(0);
-                ScrapeSummary {
-                    scrapes: monitor.scrapes + 1,
-                    requests_total,
-                    latency_count,
-                    monotone: monitor.monotone && requests_total >= monitor.last_requests_total,
-                    matches_requests: requests_total == requests && latency_count == requests,
-                }
-            }
-            Err(_) => ScrapeSummary {
-                scrapes: monitor.scrapes,
-                requests_total: monitor.last_requests_total,
-                latency_count: 0,
-                monotone: monitor.monotone,
-                matches_requests: false,
-            },
-        }
-    });
 
     if let Some(handle) = handle {
         handle.begin_shutdown();
@@ -444,88 +277,22 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         cache_hits: sinks.cache_hits.load(Ordering::Relaxed),
         statuses,
         duration,
-        target_rate: config.rate,
         achieved_rps: requests as f64 / duration.as_secs_f64().max(1e-9),
         latency_ns: sinks.latency_ns.snapshot(),
         queue_ns: sinks.queue_ns.snapshot(),
         analysis_ns: sinks.analysis_ns.snapshot(),
         mix: mix_names,
         connections,
-        scrape: scrape_summary,
     })
 }
 
-/// Mid-run scrape state carried out of the monitor thread.
-struct ScrapeMonitor {
-    scrapes: u64,
-    monotone: bool,
-    last_requests_total: u64,
-}
-
-/// Polls `GET /metrics` every ~50 ms until told to stop, checking that
-/// `rstudy_requests_total` only ever grows. Scrape failures are skipped
-/// (the endpoint may not be accepting yet right at startup).
-fn scrape_monitor(addr: SocketAddr, stop: &AtomicBool) -> ScrapeMonitor {
-    let mut state = ScrapeMonitor {
-        scrapes: 0,
-        monotone: true,
-        last_requests_total: 0,
-    };
-    while !stop.load(Ordering::Relaxed) {
-        if let Ok(body) = scrape_metrics(addr) {
-            state.scrapes += 1;
-            let total = prom_u64(&body, "rstudy_requests_total").unwrap_or(0);
-            if total < state.last_requests_total {
-                state.monotone = false;
-            }
-            state.last_requests_total = total;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    state
-}
-
-/// One-shot `GET /metrics` against the scrape endpoint; returns the
-/// response body with HTTP headers stripped.
-fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    stream.write_all(b"GET /metrics HTTP/1.0\r\nHost: loadgen\r\n\r\n")?;
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or("");
-    Ok(body.to_owned())
-}
-
-/// Extracts the value of an *unlabeled* series (`name value`) from a
-/// Prometheus text exposition body.
-fn prom_u64(body: &str, name: &str) -> Option<u64> {
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix(name) {
-            if let Some(value) = rest.strip_prefix(' ') {
-                if let Ok(v) = value.trim().parse::<f64>() {
-                    return Some(v as u64);
-                }
-            }
-        }
-    }
-    None
-}
-
 /// One connection's share of the run: requests `i` with
-/// `i % connections == conn`, each sent no earlier than its open-loop
-/// scheduled time.
-#[allow(clippy::too_many_arguments)]
+/// `i % connections == conn`, each sent as soon as the previous answer
+/// lands.
 fn connection_loop(
     conn: usize,
     connections: usize,
     total: usize,
-    rate: f64,
-    start: Instant,
     programs: &[String],
     sinks: &Sinks,
     addr: SocketAddr,
@@ -554,13 +321,6 @@ fn connection_loop(
     let mut writer = stream;
 
     for i in (conn..total).step_by(connections) {
-        if rate > 0.0 {
-            let scheduled = start + Duration::from_secs_f64(i as f64 / rate);
-            let now = Instant::now();
-            if scheduled > now {
-                std::thread::sleep(scheduled - now);
-            }
-        }
         let program = &programs[i % programs.len()];
         // One contiguous buffer per request (payload + newline) so the
         // frame leaves in a single write, mirroring the server's
@@ -633,51 +393,6 @@ mod tests {
         };
         let err = run(&config).unwrap_err();
         assert!(err.to_string().contains("no_such_program"));
-    }
-
-    #[test]
-    fn manifest_mix_replays_lowered_programs() {
-        let dir = std::env::temp_dir().join("rstudy-loadgen-manifest-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.rs"), "fn add(x: i32, y: i32) -> i32 { x + y }").unwrap();
-        std::fs::write(dir.join("b.rs"), "fn id(x: u8) -> u8 { x }").unwrap();
-        let mpath = dir.join("manifest.json");
-        rstudy_ingest::ingest(&dir, "lg")
-            .unwrap()
-            .save(&mpath)
-            .unwrap();
-        let config = LoadgenConfig {
-            requests: 4,
-            connections: 2,
-            manifest: Some(mpath),
-            ..LoadgenConfig::default()
-        };
-        let report = run(&config).unwrap();
-        assert_eq!(report.ok, 4);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.mix, vec!["a.rs".to_owned(), "b.rs".to_owned()]);
-    }
-
-    #[test]
-    fn unknown_manifest_entry_is_a_setup_error() {
-        let dir = std::env::temp_dir().join("rstudy-loadgen-manifest-miss-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.rs"), "fn id(x: u8) -> u8 { x }").unwrap();
-        let mpath = dir.join("manifest.json");
-        rstudy_ingest::ingest(&dir, "lg")
-            .unwrap()
-            .save(&mpath)
-            .unwrap();
-        let config = LoadgenConfig {
-            requests: 1,
-            manifest: Some(mpath),
-            mix: vec!["missing.rs".to_owned()],
-            ..LoadgenConfig::default()
-        };
-        let err = run(&config).unwrap_err();
-        assert!(err.to_string().contains("missing.rs"), "{err}");
     }
 
     #[test]

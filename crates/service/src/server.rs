@@ -99,11 +99,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Service counters, exported by `stats` responses (and mirrored into
-/// telemetry when it is enabled). `requests` counts admitted checks; the
-/// four status counters count answers, each admitted check exactly once
-/// (in [`settle_check`]), plus the `error` answers for lines that never
-/// became a check.
+/// Service counters, read through [`ServiceSnapshot`]. `requests` counts
+/// admitted checks; the four status counters count answers, each admitted
+/// check exactly once (in [`settle_check`]), plus the `error` answers for
+/// lines that never became a check.
 #[derive(Debug, Default)]
 struct ServeStats {
     requests: AtomicU64,
@@ -303,16 +302,7 @@ impl ServerState {
             None => None,
         };
         let flight = obs::FlightRecorder::new(config.slow_ms);
-        rstudy_telemetry::declare_counter("serve.requests");
-        rstudy_telemetry::declare_counter("serve.cache.hits");
-        rstudy_telemetry::declare_counter("serve.cache.misses");
-        rstudy_telemetry::declare_counter("serve.timeouts");
-        rstudy_telemetry::declare_counter("serve.overloaded");
-        rstudy_telemetry::declare_counter("serve.errors");
         rstudy_telemetry::declare_histogram("serve.queue_depth");
-        rstudy_telemetry::declare_histogram("serve.request_ns");
-        rstudy_telemetry::declare_histogram("serve.queue_ns");
-        rstudy_telemetry::declare_histogram("serve.analysis_ns");
         Ok(ServerState {
             queue: JobQueue::new(config.queue_depth),
             cache,
@@ -645,87 +635,50 @@ mod epoll_loop {
     /// oversized line is still read to completion.
     const READ_AHEAD_CAP: usize = 1 << 20;
 
-    /// One registered client connection and its buffers.
-    struct Conn {
+    /// The socket state both connection kinds share: the stream, its
+    /// token, buffered output, and the interest mask registered with
+    /// epoll. What to read and when to want input stay with the owner.
+    struct SocketBuf {
         stream: TcpStream,
         token: u64,
-        /// Bytes read but not yet consumed as complete request lines.
-        inbuf: Vec<u8>,
-        /// Response bytes (payload + newline framing, one contiguous
-        /// buffer per response) not yet accepted by the socket.
+        /// Bytes not yet accepted by the socket.
         outbuf: Vec<u8>,
         out_pos: usize,
-        /// The single check this connection is waiting on. Requests are
-        /// answered strictly in request order, so at most one is in
-        /// flight per connection.
-        inflight: Option<PendingCheck>,
-        /// Where workers deliver this connection's checks.
-        respond: Responder,
-        /// The peer finished sending (clean EOF or half-close).
-        eof: bool,
         /// The connection failed hard; buffers are abandoned.
         dead: bool,
         /// The interest mask currently registered with epoll (0 = none).
         registered: u32,
     }
 
-    impl Conn {
-        fn new(stream: TcpStream, token: u64, respond: Responder) -> Conn {
-            Conn {
+    impl SocketBuf {
+        fn new(stream: TcpStream, token: u64) -> SocketBuf {
+            SocketBuf {
                 stream,
                 token,
-                inbuf: Vec::new(),
                 outbuf: Vec::new(),
                 out_pos: 0,
-                inflight: None,
-                respond,
-                eof: false,
                 dead: false,
                 registered: READABLE,
             }
         }
 
-        fn read_ahead_paused(&self) -> bool {
-            self.inbuf.len() > READ_AHEAD_CAP && self.inbuf.contains(&b'\n')
-        }
-
-        /// Drains the socket's receive buffer into `inbuf`.
-        fn fill(&mut self) {
-            if self.dead || self.eof {
-                return;
-            }
-            let mut chunk = [0u8; 16384];
-            loop {
-                if self.read_ahead_paused() {
-                    return;
-                }
-                match (&self.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        self.eof = true;
-                        return;
-                    }
-                    Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+        /// Reads into `inbuf`, `chunk.len()` bytes at a time, until the
+        /// socket would block, a read fails (the connection dies), or
+        /// `full(inbuf)` holds. Returns whether the peer finished sending.
+        fn fill(&mut self, inbuf: &mut Vec<u8>, chunk: &mut [u8], full: fn(&[u8]) -> bool) -> bool {
+            while !full(inbuf) {
+                match (&self.stream).read(chunk) {
+                    Ok(0) => return true,
+                    Ok(n) => inbuf.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.dead = true;
-                        return;
+                        break;
                     }
                 }
             }
-        }
-
-        /// Queues `response` plus its newline framing as one contiguous
-        /// buffer, so the whole frame leaves in a single `write(2)` —
-        /// never a payload write followed by a 1-byte `\n` write that
-        /// Nagle + delayed ACK can park for ~40 ms.
-        fn push_response(&mut self, response: &str) {
-            if self.dead {
-                return;
-            }
-            self.outbuf.reserve(response.len() + 1);
-            self.outbuf.extend_from_slice(response.as_bytes());
-            self.outbuf.push(b'\n');
+            false
         }
 
         /// Writes as much buffered output as the socket accepts.
@@ -760,31 +713,19 @@ mod epoll_loop {
             self.out_pos < self.outbuf.len()
         }
 
-        /// The interest mask this connection currently needs: readable
-        /// while it may produce the next request, writable while output
-        /// is buffered. A connection waiting on a worker wants neither —
-        /// it costs zero wakeups.
-        fn desired_interest(&self, state: &ServerState) -> u32 {
-            if self.dead {
-                return 0;
-            }
+        /// Reconciles the registered interest mask with the one needed:
+        /// readable when the owner wants input, writable while output is
+        /// buffered, nothing once dead.
+        fn update_interest(&mut self, epoll: &Epoll, wants_input: bool) {
             let mut want = 0;
-            if !self.eof
-                && self.inflight.is_none()
-                && !state.is_shutdown()
-                && !self.read_ahead_paused()
-            {
-                want |= READABLE;
+            if !self.dead {
+                if wants_input {
+                    want |= READABLE;
+                }
+                if self.has_unwritten_output() {
+                    want |= EPOLLOUT;
+                }
             }
-            if self.has_unwritten_output() {
-                want |= EPOLLOUT;
-            }
-            want
-        }
-
-        /// Reconciles the registered interest mask with the desired one.
-        fn update_interest(&mut self, epoll: &Epoll, state: &ServerState) {
-            let want = self.desired_interest(state);
             if want == self.registered {
                 return;
             }
@@ -800,6 +741,72 @@ mod epoll_loop {
                 Ok(()) => self.registered = want,
                 Err(_) => self.dead = true,
             }
+        }
+    }
+
+    fn read_ahead_paused(inbuf: &[u8]) -> bool {
+        inbuf.len() > READ_AHEAD_CAP && inbuf.contains(&b'\n')
+    }
+
+    /// One registered NDJSON client connection.
+    struct Conn {
+        sock: SocketBuf,
+        /// Bytes read but not yet consumed as complete request lines.
+        inbuf: Vec<u8>,
+        /// The single check this connection is waiting on. Requests are
+        /// answered strictly in request order, so at most one is in
+        /// flight per connection.
+        inflight: Option<PendingCheck>,
+        /// Where workers deliver this connection's checks.
+        respond: Responder,
+        /// The peer finished sending (clean EOF or half-close).
+        eof: bool,
+    }
+
+    impl Conn {
+        fn new(stream: TcpStream, token: u64, respond: Responder) -> Conn {
+            Conn {
+                sock: SocketBuf::new(stream, token),
+                inbuf: Vec::new(),
+                inflight: None,
+                respond,
+                eof: false,
+            }
+        }
+
+        /// Drains the socket's receive buffer into `inbuf` in 16 KiB
+        /// reads, pausing at the read-ahead cap.
+        fn fill(&mut self) {
+            if self.sock.dead || self.eof {
+                return;
+            }
+            self.eof = self
+                .sock
+                .fill(&mut self.inbuf, &mut [0u8; 16384], read_ahead_paused);
+        }
+
+        /// Queues `response` plus its newline framing as one contiguous
+        /// buffer, so the whole frame leaves in a single `write(2)` —
+        /// never a payload write followed by a 1-byte `\n` write that
+        /// Nagle + delayed ACK can park for ~40 ms.
+        fn push_response(&mut self, response: &str) {
+            if self.sock.dead {
+                return;
+            }
+            let out = &mut self.sock.outbuf;
+            out.reserve(response.len() + 1);
+            out.extend_from_slice(response.as_bytes());
+            out.push(b'\n');
+        }
+
+        /// Readable while the connection may produce the next request. A
+        /// connection waiting on a worker wants neither input nor output —
+        /// it costs zero wakeups.
+        fn wants_input(&self, state: &ServerState) -> bool {
+            !self.eof
+                && self.inflight.is_none()
+                && !state.is_shutdown()
+                && !read_ahead_paused(&self.inbuf)
         }
 
         /// Whether the connection can be dropped: nothing in flight and
@@ -808,7 +815,7 @@ mod epoll_loop {
             if self.inflight.is_some() {
                 return false;
             }
-            self.dead || (self.eof && !self.has_unwritten_output())
+            self.sock.dead || (self.eof && !self.sock.has_unwritten_output())
         }
     }
 
@@ -816,123 +823,41 @@ mod epoll_loop {
     /// Strictly one request per connection (`Connection: close`), bounded
     /// in both buffer size and lifetime.
     struct MetricsConn {
-        stream: TcpStream,
-        token: u64,
+        sock: SocketBuf,
         inbuf: Vec<u8>,
-        outbuf: Vec<u8>,
-        out_pos: usize,
         responded: bool,
-        dead: bool,
-        registered: u32,
         expires: Instant,
     }
 
     impl MetricsConn {
         fn new(stream: TcpStream, token: u64) -> MetricsConn {
             MetricsConn {
-                stream,
-                token,
+                sock: SocketBuf::new(stream, token),
                 inbuf: Vec::new(),
-                outbuf: Vec::new(),
-                out_pos: 0,
                 responded: false,
-                dead: false,
-                registered: READABLE,
                 expires: Instant::now() + METRICS_CONN_TTL,
             }
         }
 
-        /// Drains the socket into `inbuf` until would-block or EOF; EOF
-        /// before a complete head still triggers a (400) response, so it
-        /// is not tracked separately.
+        /// Drains the socket into `inbuf`; a head past
+        /// [`METRICS_HEAD_CAP`] kills the connection. Returns whether the
+        /// peer finished sending: EOF before a complete head is still
+        /// answered, from whatever request line arrived (a 404 or 405).
         fn fill(&mut self) -> bool {
-            let mut saw_eof = false;
-            let mut chunk = [0u8; 1024];
-            loop {
-                if self.dead || self.inbuf.len() > METRICS_HEAD_CAP {
-                    self.dead = true;
-                    return saw_eof;
-                }
-                match (&self.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        saw_eof = true;
-                        return saw_eof;
-                    }
-                    Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return saw_eof,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.dead = true;
-                        return saw_eof;
-                    }
-                }
+            if self.sock.dead {
+                return false;
             }
-        }
-
-        fn flush(&mut self) {
-            if self.dead {
-                self.outbuf.clear();
-                self.out_pos = 0;
-                return;
+            let eof = self.sock.fill(&mut self.inbuf, &mut [0u8; 1024], |head| {
+                head.len() > METRICS_HEAD_CAP
+            });
+            if self.inbuf.len() > METRICS_HEAD_CAP {
+                self.sock.dead = true;
             }
-            while self.out_pos < self.outbuf.len() {
-                match (&self.stream).write(&self.outbuf[self.out_pos..]) {
-                    Ok(0) => {
-                        self.dead = true;
-                        return;
-                    }
-                    Ok(n) => self.out_pos += n,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.dead = true;
-                        return;
-                    }
-                }
-            }
-        }
-
-        fn has_unwritten_output(&self) -> bool {
-            self.out_pos < self.outbuf.len()
-        }
-
-        /// Readable until the response is built, writable while it has
-        /// unsent bytes.
-        fn desired_interest(&self) -> u32 {
-            if self.dead {
-                return 0;
-            }
-            let mut want = 0;
-            if !self.responded {
-                want |= READABLE;
-            }
-            if self.has_unwritten_output() {
-                want |= EPOLLOUT;
-            }
-            want
-        }
-
-        fn update_interest(&mut self, epoll: &Epoll) {
-            let want = self.desired_interest();
-            if want == self.registered {
-                return;
-            }
-            let fd = self.stream.as_raw_fd();
-            let result = if want == 0 {
-                epoll.delete(fd)
-            } else if self.registered == 0 {
-                epoll.add(fd, self.token, want)
-            } else {
-                epoll.modify(fd, self.token, want)
-            };
-            match result {
-                Ok(()) => self.registered = want,
-                Err(_) => self.dead = true,
-            }
+            eof
         }
 
         fn finished(&self) -> bool {
-            self.dead || (self.responded && !self.has_unwritten_output())
+            self.sock.dead || (self.responded && !self.sock.has_unwritten_output())
         }
     }
 
@@ -1092,7 +1017,8 @@ mod epoll_loop {
                 // flushing (bounded by the drain grace period).
                 let past_grace = drain_deadline.is_some_and(|d| Instant::now() >= d);
                 conns.retain(|_, c| {
-                    c.inflight.is_some() || (!past_grace && !c.dead && c.has_unwritten_output())
+                    c.inflight.is_some()
+                        || (!past_grace && !c.sock.dead && c.sock.has_unwritten_output())
                 });
                 if conns.is_empty() {
                     return Ok(());
@@ -1144,7 +1070,7 @@ mod epoll_loop {
                                 conn.fill();
                             }
                             if mask & EPOLLOUT != 0 {
-                                conn.flush();
+                                conn.sock.flush();
                             }
                             touched.push(token);
                         } else if let Some(m) = mconns.get_mut(&token) {
@@ -1153,19 +1079,21 @@ mod epoll_loop {
                                 eof = m.fill();
                             }
                             if mask & EPOLLOUT != 0 {
-                                m.flush();
+                                m.sock.flush();
                             }
                             // One GET per connection: respond as soon as
                             // the head is complete (or the peer stopped
                             // sending one).
-                            if !m.responded && !m.dead && (obs::http_head_complete(&m.inbuf) || eof)
+                            if !m.responded
+                                && !m.sock.dead
+                                && (obs::http_head_complete(&m.inbuf) || eof)
                             {
                                 let head = obs::http_head_line(&m.inbuf);
                                 let healthy = !r.state.is_shutdown();
-                                m.outbuf = obs::http_response(&head, healthy, || {
+                                m.sock.outbuf = obs::http_response(&head, healthy, || {
                                     prometheus_exposition(r.state)
                                 });
-                                m.out_pos = 0;
+                                m.sock.out_pos = 0;
                                 m.responded = true;
                             }
                             mtouched.push(token);
@@ -1222,8 +1150,9 @@ mod epoll_loop {
                     continue;
                 };
                 process_lines(conn, r);
-                conn.flush();
-                conn.update_interest(&r.epoll, r.state);
+                conn.sock.flush();
+                conn.sock
+                    .update_interest(&r.epoll, conn.wants_input(r.state));
                 if conn.finished() {
                     // Dropping the stream closes the fd, which removes it
                     // from the epoll set.
@@ -1235,8 +1164,8 @@ mod epoll_loop {
                 let Some(m) = mconns.get_mut(&token) else {
                     continue;
                 };
-                m.flush();
-                m.update_interest(&r.epoll);
+                m.sock.flush();
+                m.sock.update_interest(&r.epoll, !m.responded);
                 if m.finished() {
                     mconns.remove(&token);
                 }
@@ -1292,7 +1221,7 @@ mod epoll_loop {
     /// unterminated fragment at EOF into a structured error.
     fn process_lines(conn: &mut Conn, r: &Reactor<'_>) {
         let mut consumed = 0usize;
-        while conn.inflight.is_none() && !conn.dead && !r.state.is_shutdown() {
+        while conn.inflight.is_none() && !conn.sock.dead && !r.state.is_shutdown() {
             let Some(rel) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') else {
                 break;
             };
@@ -1300,12 +1229,12 @@ mod epoll_loop {
             // A line that is not UTF-8 cannot be framed as a request at
             // all; the connection is dropped.
             let Ok(line) = std::str::from_utf8(&conn.inbuf[consumed..end]) else {
-                conn.dead = true;
+                conn.sock.dead = true;
                 break;
             };
             let line = line.trim();
             let dispatched =
-                (!line.is_empty()).then(|| dispatch(line, r.state, conn.token, &conn.respond));
+                (!line.is_empty()).then(|| dispatch(line, r.state, conn.sock.token, &conn.respond));
             consumed = end + 1;
             match dispatched {
                 Some(Dispatch::Answer(response)) => conn.push_response(&response),
@@ -1454,125 +1383,256 @@ fn dispatch(line: &str, state: &ServerState, conn: u64, respond: &Responder) -> 
             state.begin_shutdown();
             ResponseBuilder::new(id, "shutdown").finish()
         }
-        Command::Stats => stats_response(id, state),
-        Command::Metrics => metrics_response(id, state),
+        Command::Stats => ResponseBuilder::new(id, "stats")
+            .field("stats", state.snapshot().stats())
+            .finish(),
+        Command::Metrics => ResponseBuilder::new(id, "metrics")
+            .field("metrics", state.snapshot().metrics())
+            .finish(),
         Command::Incidents => incidents_response(id, state),
         Command::Check(check) => return start_check(request.id, check, state, conn, respond),
     })
 }
 
-fn stats_response(id: &Option<Value>, state: &ServerState) -> String {
-    let cache = &state.cache.stats;
-    let stats = Value::Map(vec![
-        ("requests".into(), count(&state.stats.requests)),
-        ("ok".into(), count(&state.stats.ok)),
-        ("errors".into(), count(&state.stats.errors)),
-        ("timeouts".into(), count(&state.stats.timeouts)),
-        ("overloaded".into(), count(&state.stats.overloaded)),
-        (
-            "cache_hits".into(),
-            Value::UInt(
-                cache.mem_hits.load(Ordering::Relaxed) + cache.disk_hits.load(Ordering::Relaxed),
-            ),
-        ),
-        ("cache_disk_hits".into(), count(&cache.disk_hits)),
-        ("cache_misses".into(), count(&cache.misses)),
-        (
-            "cache_mem_entries".into(),
-            Value::UInt(state.cache.mem_len() as u64),
-        ),
-        (
-            "queue_depth".into(),
-            Value::UInt(state.queue.depth() as u64),
-        ),
-        ("inflight".into(), count(&state.inflight)),
-        (
-            "uptime_ms".into(),
-            Value::UInt(state.started.elapsed().as_millis() as u64),
-        ),
-        (
-            "workers".into(),
-            Value::UInt(state.effective_workers() as u64),
-        ),
-    ]);
-    ResponseBuilder::new(id, "stats")
-        .field("stats", stats)
-        .finish()
+/// One reading of every service fact: the counters, gauges, histograms,
+/// detector rows and flight-recorder and access-log counts. Taken once per
+/// `stats`, `metrics` or `GET /metrics` answer, and all three render from
+/// it.
+struct ServiceSnapshot {
+    requests: u64,
+    ok: u64,
+    errors: u64,
+    timeouts: u64,
+    overloaded: u64,
+    cache_mem_hits: u64,
+    cache_disk_hits: u64,
+    cache_misses: u64,
+    cache_mem_entries: u64,
+    queue_depth: u64,
+    inflight: u64,
+    workers: u64,
+    uptime_ms: u64,
+    latency_ns: HistogramSnapshot,
+    queue_ns: HistogramSnapshot,
+    analysis_ns: HistogramSnapshot,
+    detectors: Vec<obs::DetectorStatSnapshot>,
+    incidents_promoted: u64,
+    flight_ring_entries: u64,
+    access_log_dropped: u64,
 }
 
-/// The `metrics` response: everything `stats` reports, plus cache hit
-/// ratios and p50/p90/p99 latency quantiles estimated from the service's
-/// always-on power-of-two histograms.
-fn metrics_response(id: &Option<Value>, state: &ServerState) -> String {
-    let cache = &state.cache.stats;
-    let hits = cache.mem_hits.load(Ordering::Relaxed) + cache.disk_hits.load(Ordering::Relaxed);
-    let misses = cache.misses.load(Ordering::Relaxed);
-    let lookups = hits + misses;
-    let hit_ratio = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
-    let metrics = Value::Map(vec![
-        (
-            "uptime_ms".into(),
-            Value::UInt(state.started.elapsed().as_millis() as u64),
-        ),
-        (
-            "queue_depth".into(),
-            Value::UInt(state.queue.depth() as u64),
-        ),
-        ("inflight".into(), count(&state.inflight)),
-        (
-            "workers".into(),
-            Value::UInt(state.effective_workers() as u64),
-        ),
-        ("requests".into(), count(&state.stats.requests)),
-        ("ok".into(), count(&state.stats.ok)),
-        ("errors".into(), count(&state.stats.errors)),
-        ("timeouts".into(), count(&state.stats.timeouts)),
-        ("overloaded".into(), count(&state.stats.overloaded)),
-        (
-            "cache".into(),
-            Value::Map(vec![
-                ("hits".into(), Value::UInt(hits)),
-                ("mem_hits".into(), count(&cache.mem_hits)),
-                ("disk_hits".into(), count(&cache.disk_hits)),
-                ("misses".into(), Value::UInt(misses)),
-                ("hit_ratio".into(), Value::Float(hit_ratio)),
-                (
-                    "mem_entries".into(),
-                    Value::UInt(state.cache.mem_len() as u64),
-                ),
-            ]),
-        ),
-        ("latency_ns".into(), histogram_value(&state.latency_ns)),
-        ("queue_ns".into(), histogram_value(&state.queue_ns)),
-        ("analysis_ns".into(), histogram_value(&state.analysis_ns)),
-        (
-            "detectors".into(),
-            Value::Map(
-                state
-                    .detectors
-                    .snapshot()
-                    .into_iter()
-                    .map(|d| {
-                        (
-                            d.name,
-                            Value::Map(vec![
-                                ("runs".into(), Value::UInt(d.runs)),
-                                ("findings".into(), Value::UInt(d.findings)),
-                                ("latency_ns".into(), histogram_summary(&d.latency_ns)),
-                            ]),
-                        )
-                    })
-                    .collect(),
+impl ServerState {
+    fn snapshot(&self) -> ServiceSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let cache = &self.cache.stats;
+        ServiceSnapshot {
+            requests: load(&self.stats.requests),
+            ok: load(&self.stats.ok),
+            errors: load(&self.stats.errors),
+            timeouts: load(&self.stats.timeouts),
+            overloaded: load(&self.stats.overloaded),
+            cache_mem_hits: load(&cache.mem_hits),
+            cache_disk_hits: load(&cache.disk_hits),
+            cache_misses: load(&cache.misses),
+            cache_mem_entries: self.cache.mem_len() as u64,
+            queue_depth: self.queue.depth() as u64,
+            inflight: load(&self.inflight),
+            workers: self.effective_workers() as u64,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            latency_ns: self.latency_ns.snapshot(),
+            queue_ns: self.queue_ns.snapshot(),
+            analysis_ns: self.analysis_ns.snapshot(),
+            detectors: self.detectors.snapshot(),
+            incidents_promoted: self.flight.promoted(),
+            flight_ring_entries: self.flight.ring_len() as u64,
+            access_log_dropped: self.access.as_ref().map_or(0, |l| l.dropped()),
+        }
+    }
+}
+
+impl ServiceSnapshot {
+    fn cache_hits(&self) -> u64 {
+        self.cache_mem_hits + self.cache_disk_hits
+    }
+
+    /// The request and answer counters, in the `stats`/`metrics` key order.
+    fn counts(&self) -> Vec<(String, Value)> {
+        [
+            ("requests", self.requests),
+            ("ok", self.ok),
+            ("errors", self.errors),
+            ("timeouts", self.timeouts),
+            ("overloaded", self.overloaded),
+        ]
+        .into_iter()
+        .map(|(key, v)| (key.to_owned(), Value::UInt(v)))
+        .collect()
+    }
+
+    /// The `stats` object: counters, cache tallies and gauges.
+    fn stats(&self) -> Value {
+        let mut stats = self.counts();
+        stats.extend([
+            ("cache_hits".into(), Value::UInt(self.cache_hits())),
+            ("cache_disk_hits".into(), Value::UInt(self.cache_disk_hits)),
+            ("cache_misses".into(), Value::UInt(self.cache_misses)),
+            (
+                "cache_mem_entries".into(),
+                Value::UInt(self.cache_mem_entries),
             ),
-        ),
-    ]);
-    ResponseBuilder::new(id, "metrics")
-        .field("metrics", metrics)
-        .finish()
+            ("queue_depth".into(), Value::UInt(self.queue_depth)),
+            ("inflight".into(), Value::UInt(self.inflight)),
+            ("uptime_ms".into(), Value::UInt(self.uptime_ms)),
+            ("workers".into(), Value::UInt(self.workers)),
+        ]);
+        Value::Map(stats)
+    }
+
+    /// The `metrics` object: everything `stats` reports, plus the cache hit
+    /// ratio, p50/p90/p99 latency quantiles estimated from the always-on
+    /// power-of-two histograms, and the per-detector rows.
+    fn metrics(&self) -> Value {
+        let hits = self.cache_hits();
+        let lookups = hits + self.cache_misses;
+        let hit_ratio = if lookups == 0 {
+            0.0
+        } else {
+            hits as f64 / lookups as f64
+        };
+        let mut metrics = vec![
+            ("uptime_ms".into(), Value::UInt(self.uptime_ms)),
+            ("queue_depth".into(), Value::UInt(self.queue_depth)),
+            ("inflight".into(), Value::UInt(self.inflight)),
+            ("workers".into(), Value::UInt(self.workers)),
+        ];
+        metrics.extend(self.counts());
+        metrics.extend([
+            (
+                "cache".into(),
+                Value::Map(vec![
+                    ("hits".into(), Value::UInt(hits)),
+                    ("mem_hits".into(), Value::UInt(self.cache_mem_hits)),
+                    ("disk_hits".into(), Value::UInt(self.cache_disk_hits)),
+                    ("misses".into(), Value::UInt(self.cache_misses)),
+                    ("hit_ratio".into(), Value::Float(hit_ratio)),
+                    ("mem_entries".into(), Value::UInt(self.cache_mem_entries)),
+                ]),
+            ),
+            ("latency_ns".into(), histogram_summary(&self.latency_ns)),
+            ("queue_ns".into(), histogram_summary(&self.queue_ns)),
+            ("analysis_ns".into(), histogram_summary(&self.analysis_ns)),
+            (
+                "detectors".into(),
+                Value::Map(
+                    self.detectors
+                        .iter()
+                        .map(|d| {
+                            (
+                                d.name.clone(),
+                                Value::Map(vec![
+                                    ("runs".into(), Value::UInt(d.runs)),
+                                    ("findings".into(), Value::UInt(d.findings)),
+                                    ("latency_ns".into(), histogram_summary(&d.latency_ns)),
+                                ]),
+                            )
+                        })
+                        .collect(),
+                ),
+            ),
+        ]);
+        Value::Map(metrics)
+    }
+
+    /// The Prometheus text exposition served by `GET /metrics`: service
+    /// counters and gauges, the always-on latency histograms and the
+    /// per-detector families.
+    fn prometheus(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(4096);
+        let counter = |out: &mut String, name: &str, v: u64| {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {v}");
+        };
+        let gauge = |out: &mut String, name: &str, v: u64| {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            let _ = writeln!(out, "{name} {v}");
+        };
+        let histogram = |out: &mut String, name: &str, h: &HistogramSnapshot| {
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            rstudy_telemetry::write_histogram_series(out, name, "", h);
+        };
+
+        counter(&mut out, "rstudy_requests_total", self.requests);
+        let _ = writeln!(out, "# TYPE rstudy_responses_total counter");
+        for (status, v) in [
+            ("ok", self.ok),
+            ("error", self.errors),
+            ("timeout", self.timeouts),
+            ("overloaded", self.overloaded),
+        ] {
+            let _ = writeln!(out, "rstudy_responses_total{{status=\"{status}\"}} {v}");
+        }
+        let _ = writeln!(out, "# TYPE rstudy_cache_hits_total counter");
+        for (tier, v) in [("mem", self.cache_mem_hits), ("disk", self.cache_disk_hits)] {
+            let _ = writeln!(out, "rstudy_cache_hits_total{{tier=\"{tier}\"}} {v}");
+        }
+        counter(&mut out, "rstudy_cache_misses_total", self.cache_misses);
+        counter(&mut out, "rstudy_incidents_total", self.incidents_promoted);
+        counter(
+            &mut out,
+            "rstudy_access_log_dropped_total",
+            self.access_log_dropped,
+        );
+
+        gauge(&mut out, "rstudy_queue_depth", self.queue_depth);
+        gauge(&mut out, "rstudy_inflight", self.inflight);
+        gauge(&mut out, "rstudy_cache_mem_entries", self.cache_mem_entries);
+        gauge(&mut out, "rstudy_workers", self.workers);
+        gauge(
+            &mut out,
+            "rstudy_flight_ring_entries",
+            self.flight_ring_entries,
+        );
+        let _ = writeln!(out, "# TYPE rstudy_uptime_seconds gauge");
+        let _ = writeln!(
+            out,
+            "rstudy_uptime_seconds {}",
+            self.uptime_ms as f64 / 1000.0
+        );
+
+        histogram(&mut out, "rstudy_request_latency_ns", &self.latency_ns);
+        histogram(&mut out, "rstudy_queue_wait_ns", &self.queue_ns);
+        histogram(&mut out, "rstudy_analysis_ns", &self.analysis_ns);
+
+        if !self.detectors.is_empty() {
+            let _ = writeln!(out, "# TYPE rstudy_detector_runs_total counter");
+            for d in &self.detectors {
+                let _ = writeln!(
+                    out,
+                    "rstudy_detector_runs_total{{detector=\"{}\"}} {}",
+                    d.name, d.runs
+                );
+            }
+            let _ = writeln!(out, "# TYPE rstudy_detector_findings_total counter");
+            for d in &self.detectors {
+                let _ = writeln!(
+                    out,
+                    "rstudy_detector_findings_total{{detector=\"{}\"}} {}",
+                    d.name, d.findings
+                );
+            }
+            let _ = writeln!(out, "# TYPE rstudy_detector_latency_ns histogram");
+            for d in &self.detectors {
+                rstudy_telemetry::write_histogram_series(
+                    &mut out,
+                    "rstudy_detector_latency_ns",
+                    &format!("detector=\"{}\"", d.name),
+                    &d.latency_ns,
+                );
+            }
+        }
+        out
+    }
 }
 
 /// The `incidents` response: how many timelines the flight recorder holds
@@ -1587,131 +1647,15 @@ fn incidents_response(id: &Option<Value>, state: &ServerState) -> String {
         .finish()
 }
 
-/// The Prometheus text exposition served by `GET /metrics`: service
-/// counters and gauges, the always-on latency histograms, per-detector
-/// families, and — when global telemetry is enabled — every registry
-/// counter and histogram under the same `rstudy_` prefix.
+/// The body of `GET /metrics`: the service snapshot and, when global
+/// telemetry is enabled, the registry (the serve spans' children and
+/// `serve.queue_depth`) under the same `rstudy_` prefix.
 fn prometheus_exposition(state: &ServerState) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(4096);
-    let counter = |out: &mut String, name: &str, v: u64| {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    let gauge = |out: &mut String, name: &str, v: u64| {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    let histogram = |out: &mut String, name: &str, h: &LocalHistogram| {
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        rstudy_telemetry::write_histogram_series(out, name, "", &h.snapshot());
-    };
-
-    counter(
-        &mut out,
-        "rstudy_requests_total",
-        state.stats.requests.load(Ordering::Relaxed),
-    );
-    let _ = writeln!(out, "# TYPE rstudy_responses_total counter");
-    for (status, v) in [
-        ("ok", &state.stats.ok),
-        ("error", &state.stats.errors),
-        ("timeout", &state.stats.timeouts),
-        ("overloaded", &state.stats.overloaded),
-    ] {
-        let _ = writeln!(
-            out,
-            "rstudy_responses_total{{status=\"{status}\"}} {}",
-            v.load(Ordering::Relaxed)
-        );
-    }
-    let cache = &state.cache.stats;
-    let _ = writeln!(out, "# TYPE rstudy_cache_hits_total counter");
-    for (tier, v) in [("mem", &cache.mem_hits), ("disk", &cache.disk_hits)] {
-        let _ = writeln!(
-            out,
-            "rstudy_cache_hits_total{{tier=\"{tier}\"}} {}",
-            v.load(Ordering::Relaxed)
-        );
-    }
-    counter(
-        &mut out,
-        "rstudy_cache_misses_total",
-        cache.misses.load(Ordering::Relaxed),
-    );
-    counter(&mut out, "rstudy_incidents_total", state.flight.promoted());
-    counter(
-        &mut out,
-        "rstudy_access_log_dropped_total",
-        state.access.as_ref().map_or(0, |l| l.dropped()),
-    );
-
-    gauge(&mut out, "rstudy_queue_depth", state.queue.depth() as u64);
-    gauge(
-        &mut out,
-        "rstudy_inflight",
-        state.inflight.load(Ordering::Relaxed),
-    );
-    gauge(
-        &mut out,
-        "rstudy_cache_mem_entries",
-        state.cache.mem_len() as u64,
-    );
-    gauge(&mut out, "rstudy_workers", state.effective_workers() as u64);
-    gauge(
-        &mut out,
-        "rstudy_flight_ring_entries",
-        state.flight.ring_len() as u64,
-    );
-    let _ = writeln!(out, "# TYPE rstudy_uptime_seconds gauge");
-    let _ = writeln!(
-        out,
-        "rstudy_uptime_seconds {}",
-        state.started.elapsed().as_millis() as f64 / 1000.0
-    );
-
-    histogram(&mut out, "rstudy_request_latency_ns", &state.latency_ns);
-    histogram(&mut out, "rstudy_queue_wait_ns", &state.queue_ns);
-    histogram(&mut out, "rstudy_analysis_ns", &state.analysis_ns);
-
-    let detectors = state.detectors.snapshot();
-    if !detectors.is_empty() {
-        let _ = writeln!(out, "# TYPE rstudy_detector_runs_total counter");
-        for d in &detectors {
-            let _ = writeln!(
-                out,
-                "rstudy_detector_runs_total{{detector=\"{}\"}} {}",
-                d.name, d.runs
-            );
-        }
-        let _ = writeln!(out, "# TYPE rstudy_detector_findings_total counter");
-        for d in &detectors {
-            let _ = writeln!(
-                out,
-                "rstudy_detector_findings_total{{detector=\"{}\"}} {}",
-                d.name, d.findings
-            );
-        }
-        let _ = writeln!(out, "# TYPE rstudy_detector_latency_ns histogram");
-        for d in &detectors {
-            rstudy_telemetry::write_histogram_series(
-                &mut out,
-                "rstudy_detector_latency_ns",
-                &format!("detector=\"{}\"", d.name),
-                &d.latency_ns,
-            );
-        }
-    }
-
+    let mut out = state.snapshot().prometheus();
     if rstudy_telemetry::enabled() {
         out.push_str(&rstudy_telemetry::snapshot().to_prometheus("rstudy_"));
     }
     out
-}
-
-/// Summarizes one histogram as `{count, min, mean, max, p50, p90, p99}`.
-fn histogram_value(hist: &LocalHistogram) -> Value {
-    histogram_summary(&hist.snapshot())
 }
 
 /// The JSON summary shape shared by `metrics` responses and the loadgen
@@ -1726,10 +1670,6 @@ pub(crate) fn histogram_summary(snap: &HistogramSnapshot) -> Value {
         ("p90".into(), Value::UInt(snap.p90())),
         ("p99".into(), Value::UInt(snap.p99())),
     ])
-}
-
-fn count(a: &AtomicU64) -> Value {
-    Value::UInt(a.load(Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------------
@@ -1749,7 +1689,6 @@ fn admit_check(state: &ServerState) -> Admission {
     let trace_id = state.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     state.inflight.fetch_add(1, Ordering::Relaxed);
-    rstudy_telemetry::counter("serve.requests", 1);
     rstudy_telemetry::trace(|| format!("serve: request {trace_id} admitted"));
     Admission { trace_id, started }
 }
@@ -1760,20 +1699,16 @@ fn admit_check(state: &ServerState) -> Admission {
 /// the access log.
 fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: RequestOutcome) {
     let stats = &state.stats;
-    let (tally, mirror) = match outcome.status {
-        Status::Ok => (&stats.ok, None),
-        Status::Error => (&stats.errors, Some("serve.errors")),
-        Status::Timeout => (&stats.timeouts, Some("serve.timeouts")),
-        Status::Overloaded => (&stats.overloaded, Some("serve.overloaded")),
+    let tally = match outcome.status {
+        Status::Ok => &stats.ok,
+        Status::Error => &stats.errors,
+        Status::Timeout => &stats.timeouts,
+        Status::Overloaded => &stats.overloaded,
     };
     tally.fetch_add(1, Ordering::Relaxed);
-    if let Some(name) = mirror {
-        rstudy_telemetry::counter(name, 1);
-    }
     let elapsed_ns = admission.started.elapsed().as_nanos() as u64;
     state.latency_ns.record(elapsed_ns);
     state.inflight.fetch_sub(1, Ordering::Relaxed);
-    rstudy_telemetry::record("serve.request_ns", elapsed_ns);
     let trace_id = admission.trace_id;
     let status = outcome.status.as_str();
     state.flight.record(
@@ -1805,7 +1740,6 @@ fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: 
 /// or cut off at EOF). No [`settle_check`] sees it, so it counts here.
 fn line_error(state: &ServerState, id: &Option<Value>, message: &str) -> String {
     state.stats.errors.fetch_add(1, Ordering::Relaxed);
-    rstudy_telemetry::counter("serve.errors", 1);
     error_response(id, message)
 }
 
@@ -1878,29 +1812,25 @@ fn start_check(
     };
 
     let key = ResultCache::key(&program_text, &detectors, check.naive);
-    if let Some(report_json) = state.cache.get(key) {
-        if let Ok(report) = serde_json::from_str::<Value>(&report_json) {
-            rstudy_telemetry::counter("serve.cache.hits", 1);
-            rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache hit"));
-            return answer(
-                ok_response(
-                    &id,
-                    trace_id,
-                    Timing {
-                        queue_ns: 0,
-                        analysis_ns: 0,
-                        total_ns: started.elapsed().as_nanos() as u64,
-                        cached: true,
-                    },
-                    check.trace.then(|| trace_value(started, None)),
-                    report,
-                ),
-                RequestOutcome::cache_hit(detectors),
-            );
-        }
-        // A torn or corrupt cache entry degrades to a recompute.
+    // A corrupt cache entry is a miss, and the recompute overwrites it.
+    if let Some(report) = state.cache.get(key) {
+        rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache hit"));
+        return answer(
+            ok_response(
+                &id,
+                trace_id,
+                Timing {
+                    queue_ns: 0,
+                    analysis_ns: 0,
+                    total_ns: started.elapsed().as_nanos() as u64,
+                    cached: true,
+                },
+                check.trace.then(|| trace_value(started, None)),
+                report,
+            ),
+            RequestOutcome::cache_hit(detectors),
+        );
     }
-    rstudy_telemetry::counter("serve.cache.misses", 1);
     rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache miss"));
 
     let deadline = state
@@ -2087,7 +2017,6 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     let started = Instant::now();
     let queue_ns = job.enqueued_at.elapsed().as_nanos() as u64;
     state.queue_ns.record(queue_ns);
-    rstudy_telemetry::record("serve.queue_ns", queue_ns);
     let mut stages = vec![Stage {
         name: "queue",
         start_ns: off(job.enqueued_at),
@@ -2183,7 +2112,6 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     };
     let analysis_ns = parse_ns + check_ns;
     state.analysis_ns.record(analysis_ns);
-    rstudy_telemetry::record("serve.analysis_ns", analysis_ns);
     for t in &timings {
         state.detectors.record(t.name, t.wall_ns, t.findings);
     }

@@ -204,8 +204,8 @@ impl Snapshot {
 // Prometheus text exposition (format version 0.0.4)
 // ---------------------------------------------------------------------------
 
-/// Converts a dotted registry metric name (`serve.request_ns`) into a
-/// Prometheus-legal one under `prefix` (`rstudy_serve_request_ns`): every
+/// Converts a dotted registry metric name (`serve.queue_depth`) into a
+/// Prometheus-legal one under `prefix` (`rstudy_serve_queue_depth`): every
 /// character outside `[a-zA-Z0-9_:]` becomes `_`.
 pub fn prometheus_name(prefix: &str, raw: &str) -> String {
     let mut out = String::with_capacity(prefix.len() + raw.len());

@@ -163,18 +163,11 @@ INGEST FLAGS:
 
 LOADGEN FLAGS:
   --requests <N>        total requests to send (default 100)
-  --rate <R>            open-loop target rate in req/s (default 0 = unpaced)
-  --connections <N>     concurrent client connections (default 4)
+  --connections <N>     concurrent client connections; each sends its next
+                        request when the previous answer lands (default 4)
   --addr <host:port>    target server (default: boot one in-process)
   --mix <a,b,...>       corpus program names to cycle through
-  --manifest <path>     replay lowered programs from an ingest manifest
-                        (--mix then selects root-relative file paths in it)
   --out <path>          latency/throughput report (default BENCH_serve.json)
-  --scrape              scrape `/metrics` mid-run and embed the cross-check
-                        in the report (in-process servers only, or with
-                        --scrape-addr)
-  --scrape-addr <host:port>  the external server's metrics endpoint
-                        (implies --scrape)
 
 GLOBAL FLAGS:
   --profile             print the telemetry span/counter tree after the command
@@ -532,13 +525,6 @@ fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
                 .filter(|n| *n >= 1)
                 .ok_or_else(|| format!("--requests: expected a positive integer, got `{s}`"))?;
         }
-        if let Some(s) = take_value(args, "--rate")? {
-            config.rate = s
-                .parse::<f64>()
-                .ok()
-                .filter(|r| r.is_finite() && *r >= 0.0)
-                .ok_or_else(|| format!("--rate: expected requests/second, got `{s}`"))?;
-        }
         if let Some(s) = take_value(args, "--connections")? {
             config.connections =
                 s.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
@@ -553,19 +539,6 @@ fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
         }
         if let Some(s) = take_value(args, "--mix")? {
             config.mix = s.split(',').map(|m| m.trim().to_owned()).collect();
-        }
-        if let Some(s) = take_value(args, "--manifest")? {
-            config.manifest = Some(std::path::PathBuf::from(s));
-        }
-        config.scrape = take_flag(args, "--scrape");
-        if let Some(s) = take_value(args, "--scrape-addr")? {
-            config.scrape_addr = Some(
-                s.parse()
-                    .map_err(|_| format!("--scrape-addr: expected host:port, got `{s}`"))?,
-            );
-        }
-        if config.scrape && config.addr.is_some() && config.scrape_addr.is_none() {
-            return Err("--scrape with --addr needs --scrape-addr".to_owned());
         }
         let out = take_value(args, "--out")?.unwrap_or_else(|| "BENCH_serve.json".to_owned());
         if let Some(stray) = args.first() {

@@ -385,16 +385,23 @@ fn serve_stdin_flushes_metrics_json_on_graceful_shutdown() {
     assert!(out.status.success(), "{out:?}");
     let json = std::fs::read_to_string(&json_path).expect("metrics file written");
     std::fs::remove_file(&json_path).ok();
-    assert!(json.contains("\"serve.requests\": 1"), "{json}");
-    assert!(json.contains("serve.queue_ns"), "{json}");
-    assert!(json.contains("serve.analysis_ns"), "{json}");
+    let snap: rust_safety_study::telemetry::Snapshot =
+        serde_json::from_str(&json).expect("metrics parse as a Snapshot");
+    let check = snap
+        .span_at("serve.worker/serve.request/serve.check")
+        .unwrap_or_else(|| panic!("no serve.check span: {json}"));
+    assert_eq!(check.count, 1, "{json}");
+    assert_eq!(snap.histograms["serve.queue_depth"].count, 1, "{json}");
 }
 
 #[test]
 fn loadgen_flag_validation_is_a_usage_error() {
     for args in [
         &["loadgen", "--requests", "0"][..],
+        // Removed flags are stray arguments.
         &["loadgen", "--rate", "fast"][..],
+        &["loadgen", "--scrape"][..],
+        &["loadgen", "--manifest", "x"][..],
         &["loadgen", "--connections", "0"][..],
         &["loadgen", "--addr", "not-an-addr"][..],
         &["loadgen", "stray-arg"][..],

@@ -1,7 +1,7 @@
 //! Integration tests of the observability plane: the Prometheus scrape
 //! endpoint (`/metrics` + `/healthz`), the structured access log, the
-//! flight recorder's incident buffer, the `metrics`-vs-exposition
-//! equivalence, and the loadgen `--scrape` cross-check.
+//! flight recorder's incident buffer, and the `metrics`-vs-exposition
+//! equivalence.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use rust_safety_study::serve::{LoadgenConfig, ServeConfig, Server, ServerHandle};
+use rust_safety_study::serve::{ServeConfig, Server, ServerHandle};
 use serde::Value;
 
 /// A fresh scratch directory under the temp root.
@@ -504,34 +504,4 @@ fn metrics_ndjson_matches_prometheus_detector_families() {
     handle.begin_shutdown();
     drop(client);
     join.join().unwrap();
-}
-
-/// `loadgen --scrape` embeds a cross-check that the server's own counters
-/// agree with the client's request count.
-#[test]
-fn loadgen_scrape_cross_check() {
-    let report = rust_safety_study::serve::loadgen::run(&LoadgenConfig {
-        requests: 12,
-        connections: 2,
-        scrape: true,
-        ..LoadgenConfig::default()
-    })
-    .expect("loadgen run");
-    assert_eq!(report.ok + report.errors, 12);
-    assert_eq!(report.errors, 0);
-    let scrape = report.scrape.as_ref().expect("scrape summary present");
-    assert!(scrape.scrapes >= 1);
-    assert_eq!(scrape.requests_total, 12);
-    assert_eq!(scrape.latency_count, 12);
-    assert!(scrape.monotone);
-    assert!(scrape.matches_requests);
-
-    // And the report JSON carries the summary for BENCH_serve.json diffing.
-    let value = report.to_value();
-    let embedded = value.get("scrape").expect("scrape map in report");
-    assert_eq!(
-        embedded.get("matches_requests"),
-        Some(&Value::Bool(true)),
-        "embedded cross-check: {embedded:?}"
-    );
 }

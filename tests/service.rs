@@ -12,7 +12,6 @@ use std::thread;
 use std::time::Duration;
 
 use rust_safety_study::serve::{serve_stream, ServeConfig, Server, ServerHandle};
-use rust_safety_study::telemetry;
 use serde::Value;
 
 fn mir_path(name: &str) -> String {
@@ -151,9 +150,20 @@ fn concurrent_clients_get_isolated_correct_responses() {
     join.join().unwrap();
 }
 
+/// The `stats` tallies of the cache: (hits, disk hits, misses).
+fn cache_counts(client: &mut Client) -> (u64, u64, u64) {
+    let reply = client.round_trip(r#"{"id":"s","cmd":"stats"}"#);
+    let stats = reply.get("stats").expect("stats object");
+    let count = |name: &str| stats.get(name).and_then(Value::as_u64).unwrap_or(u64::MAX);
+    (
+        count("cache_hits"),
+        count("cache_disk_hits"),
+        count("cache_misses"),
+    )
+}
+
 #[test]
 fn resubmission_hits_the_cache_and_bumps_the_counter() {
-    telemetry::enable();
     let (addr, handle, join) = boot(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -164,21 +174,13 @@ fn resubmission_hits_the_cache_and_bumps_the_counter() {
     let first = client.round_trip(&check_request("cold", &program, ""));
     assert_eq!(status(&first), "ok", "{first:?}");
     assert!(!cached(&first), "{first:?}");
+    assert_eq!(cache_counts(&mut client).0, 0);
 
-    let hits_before = telemetry::snapshot()
-        .counters
-        .get("serve.cache.hits")
-        .copied()
-        .unwrap_or(0);
     let second = client.round_trip(&check_request("warm", &program, ""));
     assert_eq!(status(&second), "ok", "{second:?}");
     assert!(cached(&second), "{second:?}");
     assert_eq!(handle.cache_hits(), 1);
-    let hits_after = telemetry::snapshot().counters["serve.cache.hits"];
-    assert!(
-        hits_after > hits_before,
-        "serve.cache.hits did not grow: {hits_before} -> {hits_after}"
-    );
+    assert_eq!(cache_counts(&mut client).0, 1);
 
     // The cached report is byte-identical to the computed one.
     let as_json = |v: &Value| serde_json::to_string(v.get("report").unwrap()).unwrap();
@@ -532,6 +534,41 @@ fn disk_cache_round_trips_across_a_server_restart() {
     assert_eq!(handle.cache_hits(), 1);
     let as_json = |v: &Value| serde_json::to_string(v.get("report").unwrap()).unwrap();
     assert_eq!(as_json(&cold), as_json(&warm));
+    handle.begin_shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A disk entry that does not decode is a miss: the analysis runs again,
+/// the answer says `cached:false`, and `stats` counts one miss and no hit.
+#[test]
+fn corrupt_disk_entry_counts_as_a_miss_across_a_restart() {
+    let dir = scratch_dir("corrupt");
+    let program = clean_program(7600);
+    let config = || ServeConfig {
+        workers: 1,
+        cache_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+
+    let (addr, handle, join) = boot(config());
+    let cold = Client::connect(addr).round_trip(&check_request("cold", &program, ""));
+    assert!(!cached(&cold), "{cold:?}");
+    handle.begin_shutdown();
+    join.join().unwrap();
+    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "one cache entry on disk: {entries:?}");
+    std::fs::write(&entries[0], "not json").unwrap();
+
+    let (addr, handle, join) = boot(config());
+    let mut client = Client::connect(addr);
+    let again = client.round_trip(&check_request("again", &program, ""));
+    assert_eq!(status(&again), "ok", "{again:?}");
+    assert!(!cached(&again), "a corrupt entry is not a hit: {again:?}");
+    assert_eq!(cache_counts(&mut client), (0, 0, 1));
     handle.begin_shutdown();
     join.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

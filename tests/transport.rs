@@ -2,7 +2,8 @@
 //! equivalence, the latency floor the event-driven transport must hold,
 //! partial-line reassembly, pipelining, the unterminated-request error at
 //! EOF, and (on Linux) the no-busy-wakeups guarantees for idle
-//! connections and for listeners backing off when descriptors run out.
+//! connections and for listeners backing off when descriptors run out,
+//! plus a spawned server's `/metrics` exporting each service fact once.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -409,5 +410,78 @@ fn listeners_back_off_when_descriptors_run_out() {
     assert!(
         response.lines().next().is_some_and(|l| l.contains(" 200 ")),
         "{response:?}"
+    );
+}
+
+/// With telemetry on, `/metrics` appends the registry to the service's
+/// own families. The registry must not restate a service fact: each
+/// request is counted once, under one name.
+#[cfg(target_os = "linux")]
+#[test]
+fn each_service_fact_is_exported_once() {
+    use std::io::Read;
+
+    let (mut child, addr, metrics) = spawn_serve(
+        r#"exec "$RSTUDY_BIN" serve --port 0 --metrics-port 0 --workers 1 --profile"#,
+        true,
+    );
+    let mut client = Client::connect(addr);
+    for (id, fixture) in [
+        ("clean", "serve_smoke_clean.mir"),
+        ("buggy", "serve_smoke_buggy.mir"),
+        ("repeat", "serve_smoke_clean.mir"),
+    ] {
+        let request = format!(r#"{{"id":"{id}","path":"{}"}}"#, mir_path(fixture));
+        let response = client.round_trip(&request);
+        assert_eq!(
+            response.get("status").and_then(Value::as_str),
+            Some("ok"),
+            "{response:?}"
+        );
+    }
+    let mut scrape = TcpStream::connect(metrics.expect("metrics banner")).expect("connect");
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    scrape
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("send scrape request");
+    let mut body = String::new();
+    scrape
+        .read_to_string(&mut body)
+        .expect("read scrape response");
+    // `--profile` prints to stdout at exit, and nothing reads it any more:
+    // stop the server instead of draining it.
+    child.kill().expect("kill serve");
+    child.wait().expect("wait serve");
+
+    for series in [
+        "rstudy_requests_total 3",
+        "rstudy_request_latency_ns_count 3",
+    ] {
+        assert!(
+            body.lines().any(|l| l == series),
+            "no `{series}` in:\n{body}"
+        );
+    }
+    for family in [
+        "rstudy_serve_requests_total",
+        "rstudy_serve_errors_total",
+        "rstudy_serve_timeouts_total",
+        "rstudy_serve_overloaded_total",
+        "rstudy_serve_cache_hits_total",
+        "rstudy_serve_cache_misses_total",
+        "rstudy_serve_request_ns_",
+        "rstudy_serve_queue_ns_",
+        "rstudy_serve_analysis_ns_",
+    ] {
+        assert!(
+            !body.contains(family),
+            "`{family}` restates a service fact:\n{body}"
+        );
+    }
+    assert!(
+        body.contains("rstudy_analysis_cache_hits_total"),
+        "the registry is still appended:\n{body}"
     );
 }
