@@ -23,6 +23,13 @@ cargo test -q --workspace
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== benchmark package tests =="
+# e2ebench/ depends on the workspace by path but is not a member, so the
+# workspace build above does not compile it: a public name it uses could
+# disappear with CI green. Build it and run its generator and reduction
+# tests into its own gitignored target directory.
+CARGO_TARGET_DIR=.bench_build cargo test --release -q --manifest-path e2ebench/Cargo.toml
+
 BIN=target/release/rust-safety-study
 
 echo "== serve smoke check =="

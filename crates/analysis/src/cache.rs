@@ -1,13 +1,12 @@
-//! A shared, thread-safe memoization layer over the per-body analyses.
+//! A memoization layer over the per-body analyses: one table of facts per
+//! function body.
 //!
 //! Every detector in the suite needs some mix of storage liveness,
-//! maybe-freed/maybe-invalid facts, points-to sets, lock-guard ranges and
-//! the whole-program call graph. Run standalone, each detector recomputes
-//! those from scratch; run as a suite that is up to tenfold duplicated
-//! work. An [`AnalysisCache`] computes each fact at most once per body and
-//! hands out shared references, using [`OnceLock`] slots so concurrent
-//! workers race benignly: the first caller computes, everyone else waits
-//! and reads.
+//! maybe-freed/maybe-invalid facts, points-to sets, dereference sites,
+//! lock-guard ranges and the whole-program call graph. Run standalone, each
+//! detector recomputes those from scratch; run as a suite that is up to
+//! tenfold duplicated work. An [`AnalysisCache`] computes each fact at most
+//! once per body, on first use, and hands out shared references.
 //!
 //! The cache keeps hit/miss tallies and flushes them to the
 //! `analysis.cache.hits` / `analysis.cache.misses` telemetry counters when
@@ -21,6 +20,7 @@ use rstudy_mir::{Body, Program};
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::Results;
+use crate::deref::{deref_sites, DerefSite};
 use crate::heap::{HeapModel, HeapState};
 use crate::locks::{lock_acquisitions, Acquisition, HeldGuards};
 use crate::points_to::PointsTo;
@@ -35,14 +35,15 @@ struct BodyFacts {
     maybe_invalid: OnceLock<Results<MaybeInvalid>>,
     held_guards: OnceLock<Results<HeldGuards>>,
     acquisitions: OnceLock<Vec<Acquisition>>,
+    deref_sites: OnceLock<Vec<DerefSite>>,
     heap_model: OnceLock<Arc<HeapModel>>,
     heap_state: OnceLock<Results<HeapState>>,
 }
 
 /// Memoized per-body and whole-program analysis results for one [`Program`].
 ///
-/// All accessors take `&self` and are safe to call from many threads at
-/// once; each underlying analysis runs at most once per body.
+/// All accessors take `&self`; each underlying analysis runs at most once
+/// per body.
 pub struct AnalysisCache<'p> {
     program: &'p Program,
     bodies: BTreeMap<&'p str, BodyFacts>,
@@ -81,18 +82,6 @@ impl<'p> AnalysisCache<'p> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Tallies a hit on behalf of a memoization layer built on top of this
-    /// cache (e.g. a detector-side context memoizing derived summaries).
-    pub fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tallies a miss on behalf of a memoization layer built on top of this
-    /// cache.
-    pub fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn facts(&self, function: &str) -> (&BodyFacts, &'p Body) {
         let facts = self
             .bodies
@@ -106,12 +95,15 @@ impl<'p> AnalysisCache<'p> {
     }
 
     /// Serves `slot`, computing it via `init` on first access, and tallies
-    /// the hit/miss. Under contention `get_or_init` may block while another
-    /// thread computes; that closing still counts as a hit here because no
-    /// duplicate work ran on this thread.
-    fn memo<'a, T>(&self, slot: &'a OnceLock<T>, init: impl FnOnce() -> T) -> &'a T {
+    /// the hit or miss. A caller that finds the slot filled by another
+    /// thread while it waited counts a hit: it ran no duplicate work.
+    ///
+    /// Layers that memoize facts derived from this cache (the detectors'
+    /// whole-program facts) keep their slots beside it and fill them through
+    /// this method, so every memoized fact lands in the same two counters.
+    pub fn memo<'a, T>(&self, slot: &'a OnceLock<T>, init: impl FnOnce() -> T) -> &'a T {
         if let Some(v) = slot.get() {
-            self.note_hit();
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return v;
         }
         let mut computed = false;
@@ -119,11 +111,8 @@ impl<'p> AnalysisCache<'p> {
             computed = true;
             init()
         });
-        if computed {
-            self.note_miss();
-        } else {
-            self.note_hit();
-        }
+        let tally = if computed { &self.misses } else { &self.hits };
+        tally.fetch_add(1, Ordering::Relaxed);
         v
     }
 
@@ -161,6 +150,13 @@ impl<'p> AnalysisCache<'p> {
     pub fn acquisitions(&self, function: &str) -> &[Acquisition] {
         let (facts, body) = self.facts(function);
         self.memo(&facts.acquisitions, || lock_acquisitions(body))
+            .as_slice()
+    }
+
+    /// Every pointer-dereference site of `function`, in body order.
+    pub fn deref_sites(&self, function: &str) -> &[DerefSite] {
+        let (facts, body) = self.facts(function);
+        self.memo(&facts.deref_sites, || deref_sites(body))
             .as_slice()
     }
 
@@ -244,6 +240,17 @@ mod tests {
                 HeldGuards::solve(body).boundary
             );
         }
+    }
+
+    #[test]
+    fn deref_sites_are_memoized_per_function() {
+        let program = two_function_program();
+        let cache = AnalysisCache::new(&program);
+        let first = cache.deref_sites("f").as_ptr();
+        let hits = cache.hits();
+        let second = cache.deref_sites("f").as_ptr();
+        assert_eq!(first, second, "same slice served twice");
+        assert_eq!(cache.hits(), hits + 1);
     }
 
     #[test]

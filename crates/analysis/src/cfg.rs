@@ -1,34 +1,27 @@
-//! Control-flow-graph utilities: predecessor maps and traversal orders.
+//! Control-flow-graph utilities: successor maps and the forward
+//! iteration order.
 
 use rstudy_mir::{BasicBlock, Body};
 
 /// Precomputed CFG edges for a body.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: Vec<Vec<BasicBlock>>,
     succs: Vec<Vec<BasicBlock>>,
 }
 
 impl Cfg {
-    /// Builds predecessor/successor maps from a body's terminators.
+    /// Builds the successor map from a body's terminators.
     pub fn new(body: &Body) -> Cfg {
-        let n = body.blocks.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for bb in body.block_indices() {
-            if let Some(term) = &body.block(bb).terminator {
-                for succ in term.kind.successors() {
-                    succs[bb.index()].push(succ);
-                    preds[succ.index()].push(bb);
-                }
-            }
-        }
-        Cfg { preds, succs }
-    }
-
-    /// Blocks jumping to `bb`.
-    pub fn predecessors(&self, bb: BasicBlock) -> &[BasicBlock] {
-        &self.preds[bb.index()]
+        let succs = body
+            .block_indices()
+            .map(|bb| {
+                body.block(bb)
+                    .terminator
+                    .as_ref()
+                    .map_or_else(Vec::new, |term| term.kind.successors())
+            })
+            .collect();
+        Cfg { succs }
     }
 
     /// Blocks `bb` jumps to.
@@ -36,25 +29,17 @@ impl Cfg {
         &self.succs[bb.index()]
     }
 
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.preds.len()
-    }
-
-    /// Returns `true` if the body has no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
-    }
-
-    /// Post-order over blocks reachable from the entry.
-    pub fn postorder(&self) -> Vec<BasicBlock> {
-        let n = self.len();
+    /// Reverse post-order over blocks reachable from the entry (the
+    /// canonical forward-dataflow iteration order).
+    pub fn reverse_postorder(&self) -> Vec<BasicBlock> {
+        let n = self.succs.len();
         let mut visited = vec![false; n];
         let mut order = Vec::with_capacity(n);
         if n == 0 {
             return order;
         }
-        // Iterative DFS carrying an explicit successor cursor.
+        // Iterative DFS carrying an explicit successor cursor; blocks are
+        // pushed in post-order, then reversed.
         let mut stack: Vec<(BasicBlock, usize)> = vec![(BasicBlock::ENTRY, 0)];
         visited[0] = true;
         while let Some(&mut (bb, ref mut cursor)) = stack.last_mut() {
@@ -71,21 +56,8 @@ impl Cfg {
                 stack.pop();
             }
         }
+        order.reverse();
         order
-    }
-
-    /// Reverse post-order (the canonical forward-dataflow iteration order).
-    pub fn reverse_postorder(&self) -> Vec<BasicBlock> {
-        let mut po = self.postorder();
-        po.reverse();
-        po
-    }
-
-    /// Blocks reachable from the entry.
-    pub fn reachable(&self) -> Vec<BasicBlock> {
-        let mut r = self.postorder();
-        r.sort_by_key(|b| b.index());
-        r
     }
 }
 
@@ -110,13 +82,13 @@ mod tests {
     }
 
     #[test]
-    fn predecessors_and_successors() {
+    fn successors_follow_terminators() {
         let body = diamond();
         let cfg = Cfg::new(&body);
-        assert_eq!(cfg.len(), 4);
         assert_eq!(cfg.successors(BasicBlock(0)).len(), 2);
-        assert_eq!(cfg.predecessors(BasicBlock(3)).len(), 2);
-        assert_eq!(cfg.predecessors(BasicBlock(0)).len(), 0);
+        assert_eq!(cfg.successors(BasicBlock(1)), [BasicBlock(3)]);
+        assert_eq!(cfg.successors(BasicBlock(2)), [BasicBlock(3)]);
+        assert!(cfg.successors(BasicBlock(3)).is_empty());
     }
 
     #[test]
@@ -138,11 +110,11 @@ mod tests {
         b.ret();
         let body = b.finish();
         let cfg = Cfg::new(&body);
-        assert_eq!(cfg.reachable(), vec![BasicBlock(0)]);
+        assert_eq!(cfg.reverse_postorder(), vec![BasicBlock(0)]);
     }
 
     #[test]
-    fn postorder_handles_loops() {
+    fn rpo_handles_loops() {
         // bb0 -> bb1 -> bb2 -> bb1 (back edge), bb2 -> bb3
         let mut b = BodyBuilder::new("f", 0, Ty::Unit);
         let header = b.new_block();
@@ -157,9 +129,8 @@ mod tests {
         b.ret();
         let body = b.finish();
         let cfg = Cfg::new(&body);
-        let po = cfg.postorder();
-        assert_eq!(po.len(), 4);
-        // Entry is last in post-order.
-        assert_eq!(po.last(), Some(&BasicBlock(0)));
+        // The back edge does not reorder the loop: entry, header, body, exit.
+        let rpo = cfg.reverse_postorder();
+        assert_eq!(rpo, [BasicBlock(0), header, body_bb, exit]);
     }
 }

@@ -13,7 +13,7 @@ use rstudy_mir::{
     TerminatorKind, UnOp,
 };
 
-use crate::dataflow::{self, Analysis, Direction, Results};
+use crate::dataflow::{self, Analysis, Results};
 
 /// The flat constant lattice: unknown (⊥ / ⊤ collapsed) or a known value.
 ///
@@ -85,10 +85,6 @@ impl Analysis for ConstProp {
     /// `None` = unreached (the must-analysis top); `Some(map)` = the locals
     /// known to hold the same constant on every path reaching this point.
     type Domain = Option<ConstMap>;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, _body: &Body) -> Option<ConstMap> {
         None

@@ -1,25 +1,16 @@
-//! A generic worklist dataflow engine.
+//! A generic forward dataflow engine.
 //!
 //! Analyses implement [`Analysis`]; [`solve`] iterates block transfer
-//! functions to a fixpoint and returns per-block boundary states in a
-//! [`Results`], which can replay transfers to recover the state at any
-//! individual [`Location`].
+//! functions from the entry to a fixpoint and returns each block's entry
+//! state in a [`Results`], which can replay transfers to recover the state
+//! before any individual [`Location`].
 
 use rstudy_mir::visit::Location;
 use rstudy_mir::{BasicBlock, Body, Statement, Terminator};
 
 use crate::cfg::Cfg;
 
-/// Direction of dataflow propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from entry toward return (e.g. initialized-ness).
-    Forward,
-    /// Facts flow from return toward entry (e.g. liveness).
-    Backward,
-}
-
-/// A dataflow problem over a single body.
+/// A forward dataflow problem over a single body.
 pub trait Analysis {
     /// The abstract state tracked per program point.
     type Domain: Clone + PartialEq;
@@ -29,17 +20,17 @@ pub trait Analysis {
         "dataflow"
     }
 
-    /// Which way facts propagate.
-    fn direction(&self) -> Direction;
-
     /// The least element (state assumed before anything is known).
     fn bottom(&self, body: &Body) -> Self::Domain;
 
-    /// Adjusts the boundary state of the entry block (forward) or of every
-    /// exit block (backward). Defaults to no adjustment.
+    /// Adjusts the entry block's boundary state. Defaults to no adjustment.
     fn initialize(&self, _body: &Body, _state: &mut Self::Domain) {}
 
     /// Joins `from` into `into`; returns `true` if `into` changed.
+    ///
+    /// A join may only move `into` up a lattice of finite height (a bitset
+    /// union, or a map that can only lose entries once it exists). [`solve`]
+    /// has no pass limit: that bound is what makes it terminate.
     fn join(&self, into: &mut Self::Domain, from: &Self::Domain) -> bool;
 
     /// Applies one statement's transfer function.
@@ -49,155 +40,50 @@ pub trait Analysis {
     fn apply_terminator(&self, state: &mut Self::Domain, term: &Terminator, loc: Location);
 }
 
-/// Fixpoint results: one boundary state per block.
-///
-/// For a forward analysis the boundary is the block's *entry*; for a
-/// backward analysis it is the block's *exit*.
+/// Fixpoint results: one entry state per block.
 #[derive(Debug, Clone)]
 pub struct Results<A: Analysis> {
     /// The analysis instance (kept to replay transfers).
     pub analysis: A,
-    /// Per-block boundary state, indexed by block.
+    /// Per-block entry state, indexed by block.
     pub boundary: Vec<A::Domain>,
 }
 
 impl<A: Analysis> Results<A> {
-    /// The boundary state of `bb` (entry for forward, exit for backward).
+    /// The entry state of `bb`.
     pub fn boundary_state(&self, bb: BasicBlock) -> &A::Domain {
         &self.boundary[bb.index()]
     }
 
-    /// The state *before* the instruction at `loc` executes, in program
-    /// order (for both directions).
+    /// The state *before* the instruction at `loc` executes.
     pub fn state_before(&self, body: &Body, loc: Location) -> A::Domain {
         let data = body.block(loc.block);
         let mut state = self.boundary[loc.block.index()].clone();
-        match self.analysis.direction() {
-            Direction::Forward => {
-                for (i, stmt) in data.statements.iter().enumerate().take(loc.statement_index) {
-                    self.analysis.apply_statement(
-                        &mut state,
-                        stmt,
-                        Location {
-                            block: loc.block,
-                            statement_index: i,
-                        },
-                    );
-                }
-            }
-            Direction::Backward => {
-                // Backward input of `loc` = replay the terminator and every
-                // statement at or after `loc`, last to first.
-                let n = data.statements.len();
-                if let Some(term) = &data.terminator {
-                    self.analysis.apply_terminator(
-                        &mut state,
-                        term,
-                        Location {
-                            block: loc.block,
-                            statement_index: n,
-                        },
-                    );
-                }
-                for i in (loc.statement_index..n).rev() {
-                    self.analysis.apply_statement(
-                        &mut state,
-                        &data.statements[i],
-                        Location {
-                            block: loc.block,
-                            statement_index: i,
-                        },
-                    );
-                }
-            }
+        for (i, stmt) in data.statements.iter().enumerate().take(loc.statement_index) {
+            self.analysis.apply_statement(
+                &mut state,
+                stmt,
+                Location {
+                    block: loc.block,
+                    statement_index: i,
+                },
+            );
         }
         state
-    }
-
-    /// The state *after* the instruction at `loc` executes, in program order.
-    pub fn state_after(&self, body: &Body, loc: Location) -> A::Domain {
-        match self.analysis.direction() {
-            Direction::Forward => {
-                let mut state = self.state_before(body, loc);
-                let data = body.block(loc.block);
-                if loc.statement_index < data.statements.len() {
-                    self.analysis.apply_statement(
-                        &mut state,
-                        &data.statements[loc.statement_index],
-                        loc,
-                    );
-                } else if let Some(term) = &data.terminator {
-                    self.analysis.apply_terminator(&mut state, term, loc);
-                }
-                state
-            }
-            Direction::Backward => {
-                // After (in program order) = the state the instruction sees
-                // as its backward input: replay everything strictly later.
-                let data = body.block(loc.block);
-                let n = data.statements.len();
-                let mut state = self.boundary[loc.block.index()].clone();
-                if loc.statement_index < n {
-                    if let Some(term) = &data.terminator {
-                        self.analysis.apply_terminator(
-                            &mut state,
-                            term,
-                            Location {
-                                block: loc.block,
-                                statement_index: n,
-                            },
-                        );
-                    }
-                    for i in (loc.statement_index + 1..n).rev() {
-                        self.analysis.apply_statement(
-                            &mut state,
-                            &data.statements[i],
-                            Location {
-                                block: loc.block,
-                                statement_index: i,
-                            },
-                        );
-                    }
-                }
-                state
-            }
-        }
     }
 }
 
 /// Runs `analysis` on `body` to a fixpoint.
 pub fn solve<A: Analysis>(analysis: A, body: &Body) -> Results<A> {
     let cfg = Cfg::new(body);
-    solve_with_cfg(analysis, body, &cfg)
-}
-
-/// Runs `analysis` on `body` using a precomputed [`Cfg`].
-pub fn solve_with_cfg<A: Analysis>(analysis: A, body: &Body, cfg: &Cfg) -> Results<A> {
     let n = body.blocks.len();
     let mut boundary: Vec<A::Domain> = (0..n).map(|_| analysis.bottom(body)).collect();
-    let direction = analysis.direction();
-
-    let order = match direction {
-        Direction::Forward => cfg.reverse_postorder(),
-        Direction::Backward => cfg.postorder(),
-    };
-
-    match direction {
-        Direction::Forward => {
-            if n > 0 {
-                analysis.initialize(body, &mut boundary[0]);
-            }
-        }
-        Direction::Backward => {
-            for bb in body.block_indices() {
-                if cfg.successors(bb).is_empty() {
-                    analysis.initialize(body, &mut boundary[bb.index()]);
-                }
-            }
-        }
+    if n > 0 {
+        analysis.initialize(body, &mut boundary[0]);
     }
+    let order = cfg.reverse_postorder();
 
-    // Chaotic iteration in a good order until no block changes.
+    // Chaotic iteration in reverse post-order until no block changes.
     // Telemetry accumulates locally and flushes once per solve so the hot
     // loop never touches the registry lock.
     let mut changed = true;
@@ -207,19 +93,11 @@ pub fn solve_with_cfg<A: Analysis>(analysis: A, body: &Body, cfg: &Cfg) -> Resul
     while changed {
         changed = false;
         iterations += 1;
-        assert!(
-            iterations <= 4 * n + 16,
-            "dataflow failed to converge (non-monotone transfer functions?)"
-        );
         for &bb in &order {
-            // Compute this block's output state by replaying its transfers.
+            // Compute this block's exit state by replaying its transfers.
             block_visits += 1;
             let out = block_exit_state(&analysis, body, bb, &boundary[bb.index()]);
-            let neighbors: &[BasicBlock] = match direction {
-                Direction::Forward => cfg.successors(bb),
-                Direction::Backward => cfg.predecessors(bb),
-            };
-            for &next in neighbors {
+            for &next in cfg.successors(bb) {
                 if analysis.join(&mut boundary[next.index()], &out) {
                     changed = true;
                     joins_changed += 1;
@@ -240,7 +118,7 @@ pub fn solve_with_cfg<A: Analysis>(analysis: A, body: &Body, cfg: &Cfg) -> Resul
     Results { analysis, boundary }
 }
 
-/// Applies all of `bb`'s transfers (in the analysis direction) to `input`.
+/// Applies all of `bb`'s transfers, in program order, to `input`.
 fn block_exit_state<A: Analysis>(
     analysis: &A,
     body: &Body,
@@ -248,53 +126,26 @@ fn block_exit_state<A: Analysis>(
     input: &A::Domain,
 ) -> A::Domain {
     let data = body.block(bb);
-    let n = data.statements.len();
     let mut state = input.clone();
-    match analysis.direction() {
-        Direction::Forward => {
-            for (i, stmt) in data.statements.iter().enumerate() {
-                analysis.apply_statement(
-                    &mut state,
-                    stmt,
-                    Location {
-                        block: bb,
-                        statement_index: i,
-                    },
-                );
-            }
-            if let Some(term) = &data.terminator {
-                analysis.apply_terminator(
-                    &mut state,
-                    term,
-                    Location {
-                        block: bb,
-                        statement_index: n,
-                    },
-                );
-            }
-        }
-        Direction::Backward => {
-            if let Some(term) = &data.terminator {
-                analysis.apply_terminator(
-                    &mut state,
-                    term,
-                    Location {
-                        block: bb,
-                        statement_index: n,
-                    },
-                );
-            }
-            for i in (0..n).rev() {
-                analysis.apply_statement(
-                    &mut state,
-                    &data.statements[i],
-                    Location {
-                        block: bb,
-                        statement_index: i,
-                    },
-                );
-            }
-        }
+    for (i, stmt) in data.statements.iter().enumerate() {
+        analysis.apply_statement(
+            &mut state,
+            stmt,
+            Location {
+                block: bb,
+                statement_index: i,
+            },
+        );
+    }
+    if let Some(term) = &data.terminator {
+        analysis.apply_terminator(
+            &mut state,
+            term,
+            Location {
+                block: bb,
+                statement_index: data.statements.len(),
+            },
+        );
     }
     state
 }
@@ -303,18 +154,15 @@ fn block_exit_state<A: Analysis>(
 mod tests {
     use super::*;
     use crate::bitset::BitSet;
+    use crate::const_prop::{ConstMap, ConstProp};
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Operand, Rvalue, StatementKind, Ty};
+    use rstudy_mir::{BinOp, Operand, Rvalue, StatementKind, Ty};
 
     /// Forward "has been assigned" analysis used to exercise the engine.
     struct Assigned;
 
     impl Analysis for Assigned {
         type Domain = BitSet;
-
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
 
         fn bottom(&self, body: &Body) -> BitSet {
             BitSet::new(body.locals.len())
@@ -363,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn state_before_and_after_replay_statements() {
+    fn state_before_replays_statements() {
         let mut b = BodyBuilder::new("f", 0, Ty::Unit);
         let x = b.local("x", Ty::Int);
         b.assign(x, Rvalue::Use(Operand::int(1)));
@@ -375,7 +223,6 @@ mod tests {
             statement_index: 0,
         };
         assert!(!results.state_before(&body, loc).contains(x.index()));
-        assert!(results.state_after(&body, loc).contains(x.index()));
     }
 
     #[test]
@@ -397,5 +244,40 @@ mod tests {
         // After one trip through the loop the fact reaches the header.
         assert!(results.boundary_state(header).contains(x.index()));
         assert!(results.boundary_state(exit).contains(x.index()));
+    }
+
+    #[test]
+    fn constant_chains_around_a_loop_converge() {
+        // bb0 sets `flag` and a chain of K locals to 0; bb1 branches on
+        // `flag`; bb2 shifts the chain down one (`c0 = c1; …`), bumps the
+        // last link and loops. Each pass forgets one more constant, so the
+        // solve takes about K passes over only four blocks.
+        const K: usize = 40;
+        let mut b = BodyBuilder::new("f", 0, Ty::Unit);
+        let flag = b.local("flag", Ty::Int);
+        let chain: Vec<_> = (0..K).map(|i| b.local(format!("c{i}"), Ty::Int)).collect();
+        for &l in std::iter::once(&flag).chain(&chain) {
+            b.assign(l, Rvalue::Use(Operand::int(0)));
+        }
+        let header = b.goto_cont();
+        let (loop_bb, exit) = (b.new_block(), b.new_block());
+        b.switch_int(Operand::copy(flag), vec![(0, exit)], loop_bb);
+        b.switch_to(loop_bb);
+        for pair in chain.windows(2) {
+            b.assign(pair[0], Rvalue::Use(Operand::copy(pair[1])));
+        }
+        let last = chain[K - 1];
+        b.assign(
+            last,
+            Rvalue::BinaryOp(BinOp::Add, Operand::copy(last), Operand::int(1)),
+        );
+        b.goto(header);
+        b.switch_to(exit);
+        b.ret();
+        let body = b.finish();
+
+        let results = ConstProp::solve(&body);
+        let expected: ConstMap = [(flag, 0)].into_iter().collect();
+        assert_eq!(results.boundary_state(header), &Some(expected));
     }
 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Direction, Results};
+use crate::dataflow::{self, Analysis, Results};
 use crate::points_to::{MemRoot, PointsTo};
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
@@ -120,10 +120,6 @@ fn arg_local(args: &[Operand], idx: usize) -> Option<Local> {
 
 impl Analysis for HeapState {
     type Domain = HeapFacts;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, _body: &Body) -> HeapFacts {
         HeapFacts {

@@ -3,16 +3,18 @@
 //! This crate hosts the analysis machinery the PLDI 2020 study's detectors
 //! are built on:
 //!
-//! * a generic worklist [`dataflow`] engine (forward and backward),
-//! * [`cfg`] utilities (predecessors, traversal orders) and [`dominators`],
-//! * [`liveness`] (backward live variables) and [`storage`]
-//!   (storage-liveness and maybe-initialized tracking — the facts rustc's
-//!   `StorageLive`/`StorageDead` markers expose and the paper's use-after-free
-//!   detector consumes),
+//! * a generic forward worklist [`dataflow`] engine over the [`cfg`]'s
+//!   successors in reverse post-order,
+//! * [`storage`] (storage-liveness and maybe-invalid/maybe-freed tracking —
+//!   the facts rustc's `StorageLive`/`StorageDead` markers expose and the
+//!   paper's use-after-free detector consumes), [`heap`] allocation state and
+//!   [`const_prop`],
 //! * [`points_to`] (flow-insensitive Andersen-style, per function, with
-//!   symbolic argument pointees for interprocedural resolution),
+//!   symbolic argument pointees for interprocedural resolution) and
+//!   [`deref`] sites,
 //! * [`callgraph`] over a whole [`rstudy_mir::Program`],
-//! * [`locks`] (lock-guard live ranges, the double-lock detector's input).
+//! * [`locks`] (lock-guard live ranges, the double-lock detector's input),
+//! * and the [`cache`] that computes each of those facts once per body.
 
 #![warn(missing_docs)]
 pub mod bitset;
@@ -21,16 +23,13 @@ pub mod callgraph;
 pub mod cfg;
 pub mod const_prop;
 pub mod dataflow;
-pub mod dominators;
+pub mod deref;
 pub mod heap;
-pub mod liveness;
 pub mod locks;
 pub mod points_to;
-pub mod reaching;
 pub mod storage;
 
 pub use bitset::BitSet;
 pub use callgraph::CallGraph;
 pub use cfg::Cfg;
-pub use dataflow::{Analysis, Direction, Results};
-pub use dominators::Dominators;
+pub use dataflow::{Analysis, Results};

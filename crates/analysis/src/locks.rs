@@ -13,7 +13,7 @@ use rstudy_mir::{
 };
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Direction, Results};
+use crate::dataflow::{self, Analysis, Results};
 
 /// How a lock is acquired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,10 +104,6 @@ impl HeldGuards {
 
 impl Analysis for HeldGuards {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())

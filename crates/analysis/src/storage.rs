@@ -11,7 +11,7 @@ use rstudy_mir::{
 };
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Direction, Results};
+use crate::dataflow::{self, Analysis, Results};
 
 /// Forward *may* analysis: bit set ⇒ the local's storage may be dead here.
 ///
@@ -29,10 +29,6 @@ impl MaybeStorageDead {
 
 impl Analysis for MaybeStorageDead {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())
@@ -91,10 +87,6 @@ fn invalidate_moves(state: &mut BitSet, op: &Operand) {
 
 impl Analysis for MaybeInvalid {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())
@@ -179,10 +171,6 @@ impl MaybeFreed {
 
 impl Analysis for MaybeFreed {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())

@@ -90,27 +90,6 @@ fn bench_race_detection_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shared analysis cache on and off, over the whole corpus.
-/// `cache_off` approximates the old suite (every detector recomputing
-/// per-body analyses); `cache_on` is the shipping configuration.
-fn bench_shared_cache(c: &mut Criterion) {
-    let programs: Vec<_> = all_entries().iter().map(|e| e.program()).collect();
-    let mut group = c.benchmark_group("ablation_shared_cache");
-    for (label, cache) in [("cache_off", false), ("cache_on", true)] {
-        let suite = rstudy_core::suite::DetectorSuite::new().with_shared_cache(cache);
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut n = 0usize;
-                for p in &programs {
-                    n += suite.check_program(black_box(p)).len();
-                }
-                black_box(n)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_simplify_preconditioning(c: &mut Criterion) {
     let raw: Vec<_> = all_entries().iter().map(|e| e.program()).collect();
     let simplified: Vec<_> = raw
@@ -150,7 +129,6 @@ criterion_group!(
     benches,
     bench_interproc_mode,
     bench_race_detection_cost,
-    bench_shared_cache,
     bench_simplify_preconditioning
 );
 criterion_main!(benches);

@@ -137,7 +137,7 @@ fn check_one_body(
             offsets.push((place.local, p, k, cause));
         }
     }
-    for site in cx.deref_sites(name) {
+    for site in cx.cache().deref_sites(name) {
         for &(q, p, k, cause) in &offsets {
             if site.pointer != q {
                 continue;

@@ -1,170 +1,10 @@
-//! Facts shared by several detectors: pointer-dereference sites and
-//! per-function dereference summaries.
+//! Per-function dereference summaries, shared by the detectors that
+//! reason about pointers passed across calls.
 
 use std::collections::BTreeMap;
 
-use rstudy_mir::visit::Location;
-use rstudy_mir::{
-    Body, Callee, Intrinsic, Local, Operand, Place, Program, Rvalue, SourceInfo, StatementKind,
-    TerminatorKind,
-};
-
-use crate::detectors::AnalysisContext;
-
-/// One spot where memory behind a pointer local is accessed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerefSite {
-    /// Where the access happens.
-    pub location: Location,
-    /// The pointer local whose pointee is accessed.
-    pub pointer: Local,
-    /// Source info of the accessing node.
-    pub source_info: SourceInfo,
-    /// `true` if the access writes the pointee.
-    pub is_write: bool,
-}
-
-fn place_deref(place: &Place) -> Option<Local> {
-    place.has_deref().then_some(place.local)
-}
-
-fn operand_ptr(op: &Operand) -> Option<Local> {
-    op.place().filter(|p| p.is_local()).map(|p| p.local)
-}
-
-/// Extracts every pointer-dereference site in `body`, including the
-/// pointer-consuming intrinsics (`ptr::read`, `ptr::write`,
-/// `ptr::copy_nonoverlapping`, `dealloc`).
-pub fn deref_sites(body: &Body) -> Vec<DerefSite> {
-    let mut out = Vec::new();
-    for bb in body.block_indices() {
-        let data = body.block(bb);
-        for (i, stmt) in data.statements.iter().enumerate() {
-            let location = Location {
-                block: bb,
-                statement_index: i,
-            };
-            if let StatementKind::Assign(place, rv) = &stmt.kind {
-                if let Some(ptr) = place_deref(place) {
-                    out.push(DerefSite {
-                        location,
-                        pointer: ptr,
-                        source_info: stmt.source_info,
-                        is_write: true,
-                    });
-                }
-                let mut reads: Vec<Local> = Vec::new();
-                match rv {
-                    Rvalue::Use(op) | Rvalue::UnaryOp(_, op) | Rvalue::Cast(op, _) => {
-                        if let Some(p) = op.place() {
-                            reads.extend(place_deref(p));
-                        }
-                    }
-                    Rvalue::BinaryOp(_, a, b) => {
-                        for op in [a, b] {
-                            if let Some(p) = op.place() {
-                                reads.extend(place_deref(p));
-                            }
-                        }
-                    }
-                    Rvalue::Ref(_, p) | Rvalue::AddrOf(_, p) | Rvalue::Len(p) => {
-                        // Taking `&(*p).field` reads through p's pointee
-                        // address but not its value; still record it as a
-                        // (non-writing) use — dereferencing a dangling
-                        // pointer to form a reference is UB in Rust.
-                        reads.extend(place_deref(p));
-                    }
-                    Rvalue::Aggregate(ops) => {
-                        for op in ops {
-                            if let Some(p) = op.place() {
-                                reads.extend(place_deref(p));
-                            }
-                        }
-                    }
-                }
-                for ptr in reads {
-                    out.push(DerefSite {
-                        location,
-                        pointer: ptr,
-                        source_info: stmt.source_info,
-                        is_write: false,
-                    });
-                }
-            }
-        }
-        if let Some(term) = &data.terminator {
-            let location = Location {
-                block: bb,
-                statement_index: data.statements.len(),
-            };
-            if let TerminatorKind::Call {
-                func: Callee::Intrinsic(i),
-                args,
-                ..
-            } = &term.kind
-            {
-                let ptr_args: &[(usize, bool)] = match i {
-                    Intrinsic::PtrRead => &[(0, false)],
-                    Intrinsic::PtrWrite => &[(0, true)],
-                    Intrinsic::PtrCopyNonoverlapping => &[(0, false), (1, true)],
-                    Intrinsic::Dealloc => &[(0, false)],
-                    _ => &[],
-                };
-                for &(idx, is_write) in ptr_args {
-                    if let Some(ptr) = args.get(idx).and_then(operand_ptr) {
-                        out.push(DerefSite {
-                            location,
-                            pointer: ptr,
-                            source_info: term.source_info,
-                            is_write,
-                        });
-                    }
-                }
-            }
-            // Dereferences in the discriminee / arguments of any terminator.
-            match &term.kind {
-                TerminatorKind::SwitchInt { discr, .. } => {
-                    if let Some(p) = discr.place() {
-                        if let Some(ptr) = place_deref(p) {
-                            out.push(DerefSite {
-                                location,
-                                pointer: ptr,
-                                source_info: term.source_info,
-                                is_write: false,
-                            });
-                        }
-                    }
-                }
-                TerminatorKind::Call {
-                    args, destination, ..
-                } => {
-                    for a in args {
-                        if let Some(p) = a.place() {
-                            if let Some(ptr) = place_deref(p) {
-                                out.push(DerefSite {
-                                    location,
-                                    pointer: ptr,
-                                    source_info: term.source_info,
-                                    is_write: false,
-                                });
-                            }
-                        }
-                    }
-                    if let Some(ptr) = place_deref(destination) {
-                        out.push(DerefSite {
-                            location,
-                            pointer: ptr,
-                            source_info: term.source_info,
-                            is_write: true,
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    out
-}
+use rstudy_analysis::cache::AnalysisCache;
+use rstudy_mir::{Callee, TerminatorKind};
 
 /// Which of each function's pointer arguments may be dereferenced,
 /// transitively through calls — the interprocedural summary of §7.1.
@@ -175,19 +15,13 @@ pub struct DerefSummaries {
 }
 
 impl DerefSummaries {
-    /// Computes summaries for every function in `program` by fixpoint over
-    /// the call graph: an argument is summarized as dereferenced if the
-    /// function derefs it directly or forwards it to an argument position
-    /// another function dereferences.
-    pub fn compute(program: &Program) -> DerefSummaries {
-        DerefSummaries::compute_with(&AnalysisContext::new(program))
-    }
-
-    /// Like [`DerefSummaries::compute`], but reuses the per-body deref
-    /// sites memoized in `cx` instead of re-extracting them on every
-    /// fixpoint iteration.
-    pub fn compute_with(cx: &AnalysisContext<'_>) -> DerefSummaries {
-        let program = cx.program();
+    /// Computes summaries for every function in the cache's program by
+    /// fixpoint over the call graph: an argument is summarized as
+    /// dereferenced if the function derefs it directly or forwards it to an
+    /// argument position another function dereferences. Each body's deref
+    /// sites come from `cache`, so the fixpoint never re-extracts them.
+    pub fn compute(cache: &AnalysisCache<'_>) -> DerefSummaries {
+        let program = cache.program();
         let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         for (name, _) in program.iter() {
             map.insert(name.to_owned(), Vec::new());
@@ -198,7 +32,7 @@ impl DerefSummaries {
             for (name, body) in program.iter() {
                 let mut derefed: Vec<usize> = map[name].clone();
                 // Direct dereferences of argument locals.
-                for site in cx.deref_sites(name) {
+                for site in cache.deref_sites(name) {
                     if body.is_arg(site.pointer) {
                         let pos = site.pointer.0 as usize;
                         if !derefed.contains(&pos) {
@@ -220,9 +54,9 @@ impl DerefSummaries {
                                 if !callee_derefs.contains(&(i + 1)) {
                                     continue;
                                 }
-                                if let Some(l) = operand_ptr(a) {
-                                    if body.is_arg(l) {
-                                        let pos = l.0 as usize;
+                                if let Some(p) = a.place().filter(|p| p.is_local()) {
+                                    if body.is_arg(p.local) {
+                                        let pos = p.local.0 as usize;
                                         if !derefed.contains(&pos) {
                                             derefed.push(pos);
                                         }
@@ -253,27 +87,7 @@ impl DerefSummaries {
 mod tests {
     use super::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Place, Ty};
-
-    #[test]
-    fn finds_read_write_and_intrinsic_derefs() {
-        let mut b = BodyBuilder::new("f", 1, Ty::Int);
-        let p = b.arg("p", Ty::mut_ptr(Ty::Int));
-        let x = b.local("x", Ty::Int);
-        b.storage_live(x);
-        b.assign(x, Rvalue::Use(Operand::copy(Place::from_local(p).deref()))); // read deref
-        b.assign(Place::from_local(p).deref(), Rvalue::Use(Operand::int(1))); // write deref
-        let t = b.temp(Ty::Int);
-        b.storage_live(t);
-        b.call_intrinsic_cont(Intrinsic::PtrRead, vec![Operand::copy(p)], t); // intrinsic deref
-        b.ret();
-        let body = b.finish();
-        let sites = deref_sites(&body);
-        assert_eq!(sites.len(), 3);
-        assert!(!sites[0].is_write);
-        assert!(sites[1].is_write);
-        assert_eq!(sites[2].pointer, p);
-    }
+    use rstudy_mir::{Operand, Place, Program, Rvalue, Ty};
 
     #[test]
     fn summaries_propagate_through_wrappers() {
@@ -297,7 +111,7 @@ mod tests {
         clean.ret();
 
         let program = Program::from_bodies([sink.finish(), wrapper.finish(), clean.finish()]);
-        let s = DerefSummaries::compute(&program);
+        let s = DerefSummaries::compute(&AnalysisCache::new(&program));
         assert!(s.derefs_arg("sink", 1));
         assert!(s.derefs_arg("wrapper", 1), "transitive deref");
         assert!(!s.derefs_arg("clean", 1));

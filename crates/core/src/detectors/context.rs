@@ -1,32 +1,30 @@
-//! The shared per-run analysis context handed to every detector.
+//! The per-run analysis context handed to every detector.
 //!
-//! An [`AnalysisContext`] wraps an [`AnalysisCache`] (the per-body dataflow
-//! facts from `rstudy_analysis`) and adds the detector-layer facts several
-//! detectors share: pointer-dereference sites, interprocedural dereference
-//! summaries, whole-program lock facts and the set of dangling-returning
-//! functions. Everything is memoized behind [`OnceLock`] slots, so a suite
-//! running detectors concurrently computes each fact at most once; hit/miss
-//! tallies flow into the underlying cache's telemetry counters.
+//! An [`AnalysisContext`] wraps an [`AnalysisCache`] (the per-body facts
+//! from `rstudy_analysis`) and adds the whole-program facts several
+//! detectors share: interprocedural dereference summaries, lock facts and
+//! the set of dangling-returning functions. Each is memoized through the
+//! cache's [`AnalysisCache::memo`], so it is computed at most once per
+//! program and its hits and misses land in the cache's counters.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::{Local, Program};
 
-use crate::detectors::common::{deref_sites, DerefSite, DerefSummaries};
+use crate::detectors::common::DerefSummaries;
 use crate::detectors::double_lock::LockFacts;
 
-/// Shared, thread-safe analysis facts for one program under detection.
+/// Shared analysis facts for one program under detection.
 ///
 /// Detectors receive `&AnalysisContext` in
 /// [`Detector::check_body`](crate::detectors::Detector::check_body) and
 /// [`Detector::check_global`](crate::detectors::Detector::check_global);
-/// all accessors take `&self` and are safe to call from many threads.
+/// per-body facts come from [`AnalysisContext::cache`].
 pub struct AnalysisContext<'p> {
     cache: AnalysisCache<'p>,
-    deref_sites: BTreeMap<&'p str, OnceLock<Vec<DerefSite>>>,
     summaries: OnceLock<DerefSummaries>,
     lock_facts: OnceLock<LockFacts>,
     dangling_returners: OnceLock<BTreeSet<String>>,
@@ -37,10 +35,6 @@ impl<'p> AnalysisContext<'p> {
     pub fn new(program: &'p Program) -> AnalysisContext<'p> {
         AnalysisContext {
             cache: AnalysisCache::new(program),
-            deref_sites: program
-                .iter()
-                .map(|(name, _)| (name, OnceLock::new()))
-                .collect(),
             summaries: OnceLock::new(),
             lock_facts: OnceLock::new(),
             dangling_returners: OnceLock::new(),
@@ -57,52 +51,21 @@ impl<'p> AnalysisContext<'p> {
         &self.cache
     }
 
-    /// Serves `slot`, computing via `init` on first access, tallying the
-    /// hit/miss on the underlying cache.
-    fn memo<'a, T>(&self, slot: &'a OnceLock<T>, init: impl FnOnce() -> T) -> &'a T {
-        if let Some(v) = slot.get() {
-            self.cache.note_hit();
-            return v;
-        }
-        let mut computed = false;
-        let v = slot.get_or_init(|| {
-            computed = true;
-            init()
-        });
-        if computed {
-            self.cache.note_miss();
-        } else {
-            self.cache.note_hit();
-        }
-        v
-    }
-
-    /// Every pointer-dereference site of `function`, in body order.
-    pub fn deref_sites(&self, function: &str) -> &[DerefSite] {
-        let slot = self
-            .deref_sites
-            .get(function)
-            .unwrap_or_else(|| panic!("analysis context: unknown function `{function}`"));
-        let body = self
-            .program()
-            .function(function)
-            .expect("context function exists in the program");
-        self.memo(slot, || deref_sites(body)).as_slice()
-    }
-
     /// Interprocedural which-arguments-are-dereferenced summaries.
     pub fn summaries(&self) -> &DerefSummaries {
-        self.memo(&self.summaries, || DerefSummaries::compute_with(self))
+        self.cache
+            .memo(&self.summaries, || DerefSummaries::compute(&self.cache))
     }
 
     /// Whole-program lock facts (acquisition sites, resolved identities).
     pub(crate) fn lock_facts(&self) -> &LockFacts {
-        self.memo(&self.lock_facts, || LockFacts::compute(self))
+        self.cache
+            .memo(&self.lock_facts, || LockFacts::compute(self))
     }
 
     /// Functions whose return value may point into their own (dead) frame.
     pub fn dangling_returners(&self) -> &BTreeSet<String> {
-        self.memo(&self.dangling_returners, || {
+        self.cache.memo(&self.dangling_returners, || {
             let mut out = BTreeSet::new();
             for (name, body) in self.program().iter() {
                 if !body.local_decl(Local::RETURN).ty.is_pointer_like() {
@@ -145,17 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn deref_sites_are_memoized_per_function() {
-        let program = dangling_program();
-        let cx = AnalysisContext::new(&program);
-        let first = cx.deref_sites("make").as_ptr();
-        let hits = cx.cache().hits();
-        let second = cx.deref_sites("make").as_ptr();
-        assert_eq!(first, second, "same slice served twice");
-        assert_eq!(cx.cache().hits(), hits + 1);
-    }
-
-    #[test]
     fn dangling_returners_finds_the_right_functions() {
         let program = dangling_program();
         let cx = AnalysisContext::new(&program);
@@ -172,7 +124,7 @@ mod tests {
         let program = dangling_program();
         let cx = AnalysisContext::new(&program);
         let via_cx = cx.summaries();
-        let direct = DerefSummaries::compute(&program);
+        let direct = DerefSummaries::compute(&AnalysisCache::new(&program));
         assert_eq!(via_cx.derefs_arg("make", 1), direct.derefs_arg("make", 1));
     }
 }

@@ -68,7 +68,7 @@ fn check_shared_self_mutation(
     }
     let pt = cx.cache().points_to(name);
     let held = cx.cache().held_guards(name);
-    for site in cx.deref_sites(name) {
+    for site in cx.cache().deref_sites(name) {
         if !site.is_write {
             continue;
         }

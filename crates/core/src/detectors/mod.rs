@@ -23,7 +23,7 @@ mod use_after_free;
 
 pub use blocking_misuse::BlockingMisuse;
 pub use buffer_overflow::BufferOverflow;
-pub use common::{deref_sites, DerefSite, DerefSummaries};
+pub use common::DerefSummaries;
 pub use context::AnalysisContext;
 pub use double_free::DoubleFree;
 pub use double_lock::DoubleLock;

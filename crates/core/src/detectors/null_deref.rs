@@ -8,7 +8,7 @@
 //! pointers.
 
 use rstudy_analysis::bitset::BitSet;
-use rstudy_analysis::dataflow::{self, Analysis, Direction};
+use rstudy_analysis::dataflow::{self, Analysis};
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
     Body, Const, Operand, Rvalue, Statement, StatementKind, Terminator, TerminatorKind,
@@ -31,10 +31,6 @@ fn is_null_rvalue(rv: &Rvalue) -> bool {
 
 impl Analysis for MaybeNull {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())
@@ -101,7 +97,7 @@ impl Detector for NullDeref {
     ) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let nullness = dataflow::solve(MaybeNull, body);
-        for site in cx.deref_sites(function) {
+        for site in cx.cache().deref_sites(function) {
             if !body.local_decl(site.pointer).ty.is_raw_ptr() {
                 continue;
             }

@@ -10,7 +10,7 @@
 //!    by `mem::uninitialized()`).
 
 use rstudy_analysis::bitset::BitSet;
-use rstudy_analysis::dataflow::{self, Analysis, Direction};
+use rstudy_analysis::dataflow::{self, Analysis};
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Callee, Intrinsic, Statement, StatementKind, Terminator, TerminatorKind};
 
@@ -25,10 +25,6 @@ pub struct MaybeUninit;
 
 impl Analysis for MaybeUninit {
     type Domain = BitSet;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, body: &Body) -> BitSet {
         BitSet::new(body.locals.len())
@@ -110,7 +106,7 @@ fn check_one_body(
     let uninit = dataflow::solve(MaybeUninit, body);
 
     // 1. Reads through pointers into never-written heap allocations.
-    for site in cx.deref_sites(name) {
+    for site in cx.cache().deref_sites(name) {
         if site.is_write {
             continue;
         }

@@ -99,7 +99,7 @@ fn check_one_body(
     let heap = cx.cache().heap_state(name);
 
     // 1. Direct dereferences whose pointee may be dead.
-    for site in cx.deref_sites(name) {
+    for site in cx.cache().deref_sites(name) {
         // The dealloc "deref" is double-free territory, not UAF.
         if is_dealloc_site(body, site.location) {
             continue;
@@ -319,7 +319,7 @@ fn check_dangling_call_results(
             }
         }
     }
-    for site in cx.deref_sites(name) {
+    for site in cx.cache().deref_sites(name) {
         if tainted.contains(&site.pointer) {
             out.push(
                 Diagnostic::new(

@@ -172,6 +172,7 @@ pub struct InteriorMutCall {
 /// Finds call sites of interior-mutability functions: callees that write
 /// through memory reached from a shared-reference argument.
 pub fn interior_mutability_calls(program: &Program) -> Vec<InteriorMutCall> {
+    use rstudy_analysis::deref::deref_sites;
     use rstudy_analysis::points_to::{MemRoot, PointsTo};
 
     // Which functions mutate through a shared-ref arg?
@@ -185,7 +186,7 @@ pub fn interior_mutability_calls(program: &Program) -> Vec<InteriorMutCall> {
             continue;
         }
         let pt = PointsTo::analyze(body);
-        let mutates = crate::detectors::deref_sites(body).into_iter().any(|site| {
+        let mutates = deref_sites(body).into_iter().any(|site| {
             site.is_write
                 && shared
                     .iter()

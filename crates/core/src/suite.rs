@@ -106,8 +106,6 @@ pub struct DetectorSuite {
     config: DetectorConfig,
     /// Programs analyzed at once by `check_programs`; `0` means auto-size.
     jobs: usize,
-    /// Whether all tasks share one memoizing [`AnalysisContext`].
-    shared_cache: bool,
 }
 
 impl DetectorSuite {
@@ -128,7 +126,6 @@ impl DetectorSuite {
             ],
             config: DetectorConfig::new(),
             jobs: 0,
-            shared_cache: true,
         }
     }
 
@@ -167,7 +164,6 @@ impl DetectorSuite {
             detectors: Vec::new(),
             config: DetectorConfig::new(),
             jobs: 0,
-            shared_cache: true,
         }
     }
 
@@ -178,15 +174,6 @@ impl DetectorSuite {
     /// setting, and a single program is always checked inline.
     pub fn with_jobs(mut self, jobs: usize) -> DetectorSuite {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enables or disables the shared per-body analysis cache (on by
-    /// default). With the cache off, every (detector × body) pass
-    /// recomputes its analyses from scratch — only useful for ablation
-    /// measurements.
-    pub fn with_shared_cache(mut self, shared: bool) -> DetectorSuite {
-        self.shared_cache = shared;
         self
     }
 
@@ -283,13 +270,7 @@ impl DetectorSuite {
     /// across programs.
     pub fn check_program_timed(&self, program: &Program) -> (Report, Vec<DetectorTiming>) {
         let _suite = rstudy_telemetry::span("suite");
-        let shared = self.shared_cache.then(|| AnalysisContext::new(program));
-        // With the shared cache off, every (detector × body) task gets a
-        // fresh context and recomputes its analyses from scratch.
-        let with_cx = |task: &dyn Fn(&AnalysisContext<'_>) -> Vec<Diagnostic>| match &shared {
-            Some(cx) => task(cx),
-            None => task(&AnalysisContext::new(program)),
-        };
+        let cx = AnalysisContext::new(program);
 
         let mut diagnostics = Vec::new();
         let mut timings = Vec::with_capacity(self.detectors.len());
@@ -299,11 +280,9 @@ impl DetectorSuite {
             let _span = rstudy_telemetry::span_with(|| format!("detector.{name}"));
             let start = Instant::now();
             for (function, body) in program.iter() {
-                diagnostics.extend(with_cx(&|cx| {
-                    d.check_body(cx, function, body, &self.config)
-                }));
+                diagnostics.extend(d.check_body(&cx, function, body, &self.config));
             }
-            diagnostics.extend(with_cx(&|cx| d.check_global(cx, &self.config)));
+            diagnostics.extend(d.check_global(&cx, &self.config));
             let wall_ns = start.elapsed().as_nanos() as u64;
             let n = diagnostics.len() - before;
             timings.push(DetectorTiming {
@@ -316,7 +295,7 @@ impl DetectorSuite {
                 format!("check: detector {name} finished with {n} finding(s)")
             });
         }
-        drop(shared); // flushes the analysis.cache.{hits,misses} counters
+        drop(cx); // flushes the analysis.cache.{hits,misses} counters
 
         diagnostics.sort_by(|a, b| {
             (
@@ -517,21 +496,15 @@ mod tests {
     }
 
     #[test]
-    fn uncached_run_matches_cached() {
-        let program = two_bug_program();
-        let cached = DetectorSuite::new().check_program(&program);
-        let fresh = DetectorSuite::new()
-            .with_shared_cache(false)
-            .check_program(&program);
-        assert_eq!(cached.diagnostics(), fresh.diagnostics());
-    }
-
-    #[test]
     fn with_only_restricts_and_keeps_canonical_order() {
         let suite = DetectorSuite::with_only(&["double-lock", "use-after-free"]).unwrap();
         // Request order is reversed relative to the canonical order; the
         // suite still runs use-after-free first.
         assert_eq!(suite.detector_names(), ["use-after-free", "double-lock"]);
+        // A repeated name runs once.
+        let repeated =
+            DetectorSuite::with_only(&["use-after-free", "double-lock", "double-lock"]).unwrap();
+        assert_eq!(repeated.detector_names(), suite.detector_names());
         let report = suite.check_program(&two_bug_program());
         assert_eq!(report.count(BugClass::UseAfterFree), 1);
         assert_eq!(report.count(BugClass::DoubleLock), 1);

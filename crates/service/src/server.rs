@@ -1806,8 +1806,16 @@ fn start_check(
             Err(e) => return fail(e),
         },
     };
-    let detectors = match canonical_detectors(check.detectors.as_deref()) {
-        Ok(d) => d,
+    let suite = match check.detectors.as_deref() {
+        Some(names) => DetectorSuite::with_only(names),
+        None => Ok(DetectorSuite::new()),
+    };
+    let detectors: Vec<String> = match suite {
+        Ok(suite) => suite
+            .detector_names()
+            .into_iter()
+            .map(String::from)
+            .collect(),
         Err(e) => return fail(e),
     };
 
@@ -1906,30 +1914,6 @@ fn degraded_response_traced(
         .field("trace_id", Value::UInt(trace_id))
         .field("error", Value::Str(message.to_owned()))
         .finish()
-}
-
-/// Resolves the requested detector names to the canonical (sorted by run
-/// order, deduplicated) set, defaulting to the full suite.
-fn canonical_detectors(requested: Option<&[String]>) -> Result<Vec<String>, String> {
-    let known = DetectorSuite::all_detector_names();
-    match requested {
-        None => Ok(known.iter().map(|s| s.to_string()).collect()),
-        Some(names) => {
-            for n in names {
-                if !known.contains(&n.as_str()) {
-                    return Err(format!(
-                        "unknown detector `{n}` (valid: {})",
-                        known.join(", ")
-                    ));
-                }
-            }
-            Ok(known
-                .iter()
-                .filter(|k| names.iter().any(|n| n == **k))
-                .map(|s| s.to_string())
-                .collect())
-        }
-    }
 }
 
 /// Per-stage timings measured for one request. Embedded in every `ok`
@@ -2203,21 +2187,6 @@ fn main() -> int {
         assert!(lines[1].contains(r#""status":"ok""#), "{}", lines[1]);
         assert!(lines[2].contains(r#""status":"stats""#), "{}", lines[2]);
         assert!(lines[2].contains(r#""errors":1"#), "{}", lines[2]);
-    }
-
-    #[test]
-    fn canonicalization_is_order_and_dup_insensitive() {
-        let a =
-            canonical_detectors(Some(&["double-lock".into(), "use-after-free".into()])).unwrap();
-        let b = canonical_detectors(Some(&[
-            "use-after-free".into(),
-            "double-lock".into(),
-            "double-lock".into(),
-        ]))
-        .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, ["use-after-free", "double-lock"]);
-        assert!(canonical_detectors(Some(&["bogus".into()])).is_err());
     }
 
     #[cfg(target_os = "linux")]

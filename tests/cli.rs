@@ -132,6 +132,47 @@ fn check_rejects_malformed_input() {
     assert!(stderr.contains("parse error"), "{stderr}");
 }
 
+/// A loop that shifts a chain of `k` constants down one link per trip
+/// (`_2 = _3; …; _k = _{k+1}; _{k+1} = _{k+1} + const 1`), so constant
+/// propagation forgets one more of them on each pass around the loop.
+fn loop_chain_mir(k: usize) -> String {
+    use std::fmt::Write;
+    let mut s = String::from("fn main() -> unit {\n");
+    for i in 1..=k + 1 {
+        writeln!(s, "    let _{i}: int;").unwrap();
+    }
+    s.push_str("\n    bb0: {\n");
+    for i in 1..=k + 1 {
+        writeln!(s, "        _{i} = const 0;").unwrap();
+    }
+    s.push_str("        goto -> bb1;\n    }\n\n");
+    s.push_str("    bb1: {\n        switchInt(_1) -> [0: bb3, otherwise: bb2];\n    }\n\n");
+    s.push_str("    bb2: {\n");
+    for i in 2..=k {
+        writeln!(s, "        _{i} = _{};", i + 1).unwrap();
+    }
+    let last = k + 1;
+    writeln!(s, "        _{last} = _{last} + const 1;").unwrap();
+    s.push_str("        goto -> bb1;\n    }\n\n    bb3: {\n        return;\n    }\n}\n");
+    s
+}
+
+#[test]
+fn check_converges_on_a_long_constant_chain_around_a_loop() {
+    let dir = std::env::temp_dir().join("rstudy-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("loop-chain-{}.mir", std::process::id()));
+    std::fs::write(&path, loop_chain_mir(40)).unwrap();
+    let out = bin()
+        .args(["check", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("no findings"), "{stdout}");
+}
+
 #[test]
 fn run_with_trace_prints_the_step_tail() {
     let out = bin()

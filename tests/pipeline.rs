@@ -2,10 +2,9 @@
 //! and analyses running end-to-end over every corpus program.
 
 use rstudy_analysis::callgraph::CallGraph;
-use rstudy_analysis::dominators::Dominators;
-use rstudy_analysis::liveness::Liveness;
+use rstudy_analysis::locks::HeldGuards;
 use rstudy_analysis::points_to::PointsTo;
-use rstudy_analysis::storage::{MaybeInvalid, MaybeStorageDead};
+use rstudy_analysis::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead};
 use rstudy_corpus::all_entries;
 use rstudy_mir::parse::parse_program;
 use rstudy_mir::pretty::program_to_string;
@@ -35,10 +34,10 @@ fn analyses_run_on_every_corpus_body() {
         let program = entry.program();
         let _graph = CallGraph::build(&program);
         for body in program.bodies() {
-            let _ = Dominators::new(body);
-            let _ = Liveness::solve(body);
             let _ = MaybeStorageDead::solve(body);
             let _ = MaybeInvalid::solve(body);
+            let _ = MaybeFreed::solve(body);
+            let _ = HeldGuards::solve(body);
             let _ = PointsTo::analyze(body);
         }
     }

@@ -1,18 +1,27 @@
 //! Property-based tests across crates: parser/printer round trips on
-//! generated bodies, dataflow fixpoint sanity, interpreter safety on
-//! generated safe programs, and dominator-tree properties against a naive
-//! reference.
+//! generated bodies, interpreter safety on generated safe programs, and
+//! true fixpoints of every shipped forward dataflow analysis on generated
+//! branchy, looping bodies.
+
+use std::fmt::Debug;
 
 use proptest::prelude::*;
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::cfg::Cfg;
-use rstudy_analysis::dominators::Dominators;
-use rstudy_analysis::liveness::Liveness;
+use rstudy_analysis::const_prop::ConstProp;
+use rstudy_analysis::dataflow::{Analysis, Results};
+use rstudy_analysis::locks::HeldGuards;
+use rstudy_analysis::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead};
 use rstudy_interp::Interpreter;
 use rstudy_mir::build::BodyBuilder;
 use rstudy_mir::parse::parse_body;
 use rstudy_mir::pretty::body_to_string;
 use rstudy_mir::validate::validate_body;
-use rstudy_mir::{BasicBlock, BinOp, Local, Operand, Place, Program, Rvalue, Ty};
+use rstudy_mir::visit::Location;
+use rstudy_mir::{
+    BasicBlock, BinOp, Body, Callee, Intrinsic, Local, Mutability, Operand, Place, Program, Rvalue,
+    Ty,
+};
 
 /// One generated straight-line operation on int locals.
 #[derive(Debug, Clone)]
@@ -129,20 +138,6 @@ proptest! {
         prop_assert_eq!(outcome.return_int(), Some(expected));
     }
 
-    /// Liveness is a fixpoint: re-solving yields identical boundary states,
-    /// and no state exceeds the local count.
-    #[test]
-    fn liveness_fixpoint_is_stable(ops in ops_strategy()) {
-        let (program, _) = build_program(&ops);
-        let body = program.entry_body().unwrap();
-        let a = Liveness::solve(body);
-        let b = Liveness::solve(body);
-        for bb in body.block_indices() {
-            prop_assert_eq!(a.boundary_state(bb), b.boundary_state(bb));
-            prop_assert!(a.boundary_state(bb).capacity() == body.locals.len());
-        }
-    }
-
     /// The static suite never reports anything on generated safe programs
     /// (false-positive hygiene on the easiest population).
     #[test]
@@ -153,105 +148,161 @@ proptest! {
     }
 }
 
-/// A naive O(n²) dominator computation for cross-checking: iterate
-/// "dom(b) = {b} ∪ ⋂ dom(preds)" to fixpoint.
-fn naive_dominates(body: &rstudy_mir::Body) -> Vec<Vec<bool>> {
-    let cfg = Cfg::new(body);
-    let n = body.blocks.len();
-    let reachable: Vec<bool> = {
-        let mut v = vec![false; n];
-        for bb in cfg.reachable() {
-            v[bb.index()] = true;
+/// One generated statement: a kind code and two local picks.
+type GenStmt = (u8, usize, usize);
+
+/// One generated block: its statements, and how it leaves when it has a
+/// single successor (a goto or one of the heap, lock and drop calls).
+type GenBlock = (Vec<GenStmt>, u8);
+
+fn block_strategy() -> impl Strategy<Value = GenBlock> {
+    (
+        proptest::collection::vec((0u8..8, 0usize..8, 0usize..8), 0..5),
+        0u8..7,
+    )
+}
+
+/// Builds an 8-block body whose edges come from `edges`: a block with no
+/// out-edge returns, one with a single out-edge leaves through its block's
+/// exit kind, and one with more switches on `a` to its first two targets.
+/// Statements mark storage live or dead, assign constants and sums, copy,
+/// move, borrow the mutex and write through a pointer, over int, pointer,
+/// mutex and guard locals.
+fn branchy_body(edges: &[(u32, u32)], blocks: &[GenBlock]) -> Body {
+    let mut b = BodyBuilder::new("f", 0, Ty::Unit);
+    let mutex = Ty::Mutex(Box::new(Ty::Int));
+    let a = b.local("a", Ty::Int);
+    let c = b.local("c", Ty::Int);
+    let p = b.local("p", Ty::mut_ptr(Ty::Int));
+    let q = b.local("q", Ty::mut_ptr(Ty::Int));
+    let m = b.local("m", mutex.clone());
+    let r = b.local("r", Ty::shared_ref(mutex));
+    let g = b.local("g", Ty::Guard(Box::new(Ty::Int)));
+    let h = b.local("h", Ty::Guard(Box::new(Ty::Int)));
+    let unit = b.local("u", Ty::Unit);
+    let locals = [a, c, p, q, m, r, g, h];
+    let ints = [a, c];
+    let copies = [(a, c), (c, a), (p, q), (q, p)];
+    let moves = [(a, c), (q, p), (h, g), (g, h)];
+    for _ in 1..8 {
+        b.new_block();
+    }
+    for (i, (stmts, exit)) in (0u32..).zip(blocks) {
+        b.switch_to(BasicBlock(i));
+        for &(kind, x, y) in stmts {
+            match kind {
+                0 => b.storage_live(locals[x]),
+                1 => b.storage_dead(locals[x]),
+                2 => b.assign(ints[x % 2], Rvalue::Use(Operand::int(y as i64 % 3))),
+                3 => b.assign(
+                    ints[x % 2],
+                    Rvalue::BinaryOp(BinOp::Add, Operand::copy(ints[y % 2]), Operand::int(1)),
+                ),
+                4 => {
+                    let (to, from) = copies[x % copies.len()];
+                    b.assign(to, Rvalue::Use(Operand::copy(from)));
+                }
+                5 => {
+                    let (to, from) = moves[x % moves.len()];
+                    b.assign(to, Rvalue::Use(Operand::mov(from)));
+                }
+                6 => b.assign(r, Rvalue::Ref(Mutability::Not, m.into())),
+                _ => b.assign(Place::from_local(p).deref(), Rvalue::Use(Operand::int(1))),
+            }
         }
-        v
-    };
-    let mut dom = vec![vec![true; n]; n]; // dom[b][d]: d dominates b
-    dom[0] = vec![false; n];
-    dom[0][0] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in 1..n {
-            if !reachable[b] {
-                continue;
-            }
-            let preds = cfg.predecessors(BasicBlock(b as u32));
-            let mut new: Vec<bool> = vec![true; n];
-            let mut any = false;
-            for p in preds {
-                if !reachable[p.index()] {
-                    continue;
-                }
-                any = true;
-                for d in 0..n {
-                    new[d] = new[d] && dom[p.index()][d];
-                }
-            }
-            if !any {
-                new = vec![false; n];
-            }
-            new[b] = true;
-            if new != dom[b] {
-                dom[b] = new;
-                changed = true;
+        let outs: Vec<BasicBlock> = edges
+            .iter()
+            .filter(|(from, _)| *from == i)
+            .map(|(_, to)| BasicBlock(*to))
+            .collect();
+        match (outs.as_slice(), exit) {
+            ([], _) => b.ret(),
+            ([t, otherwise, ..], _) => b.switch_int(Operand::copy(a), vec![(0, *t)], *otherwise),
+            ([t], 0) => b.goto(*t),
+            ([t], 6) => b.drop_place(h, *t),
+            ([t], kind) => {
+                let (intrinsic, args, dest) = match kind {
+                    1 => (Intrinsic::Alloc, vec![Operand::int(1)], p),
+                    2 => (Intrinsic::Dealloc, vec![Operand::copy(p)], unit),
+                    3 => (
+                        Intrinsic::PtrWrite,
+                        vec![Operand::copy(q), Operand::int(1)],
+                        unit,
+                    ),
+                    4 => (Intrinsic::MutexLock, vec![Operand::copy(r)], g),
+                    _ => (Intrinsic::MemDrop, vec![Operand::mov(g)], unit),
+                };
+                b.call(Callee::Intrinsic(intrinsic), args, dest, Some(*t));
             }
         }
     }
-    dom
+    b.finish()
+}
+
+/// Checks that `first` is a true fixpoint of its analysis on `body`:
+/// solving again (`second`) gives the same boundaries, the entry boundary
+/// holds what `initialize` sets, and no reachable edge would change its
+/// target's boundary if propagated once more.
+fn assert_fixpoint<A: Analysis>(
+    body: &Body,
+    first: &Results<A>,
+    second: &Results<A>,
+) -> Result<(), String>
+where
+    A::Domain: Debug,
+{
+    let analysis = &first.analysis;
+    prop_assert_eq!(&first.boundary, &second.boundary, "solving twice differs");
+    let mut init = analysis.bottom(body);
+    analysis.initialize(body, &mut init);
+    let mut entry = first.boundary[0].clone();
+    prop_assert!(
+        !analysis.join(&mut entry, &init),
+        "the entry boundary lacks the initial state"
+    );
+    let cfg = Cfg::new(body);
+    for bb in cfg.reverse_postorder() {
+        let data = body.block(bb);
+        let at_terminator = Location {
+            block: bb,
+            statement_index: data.statements.len(),
+        };
+        let mut exit = first.state_before(body, at_terminator);
+        if let Some(term) = &data.terminator {
+            analysis.apply_terminator(&mut exit, term, at_terminator);
+        }
+        for &succ in cfg.successors(bb) {
+            let mut target = first.boundary[succ.index()].clone();
+            prop_assert!(
+                !analysis.join(&mut target, &exit),
+                "edge {:?} -> {:?} changes its target",
+                bb,
+                succ
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Cooper–Harvey–Kennedy agrees with the naive dataflow dominators on
-    /// random branchy CFGs.
+    /// Every shipped forward analysis reaches a true fixpoint on random
+    /// 8-block CFGs with branches, loops and unreachable blocks.
     #[test]
-    fn dominators_match_naive_reference(
-        edges in proptest::collection::vec((0u32..8, 0u32..8), 1..16)
+    fn forward_analyses_reach_a_true_fixpoint(
+        edges in proptest::collection::vec((0u32..8, 0u32..8), 1..16),
+        blocks in proptest::collection::vec(block_strategy(), 8..9)
     ) {
-        // Build a body with 8 blocks; each block either branches to two
-        // targets drawn from `edges` or returns.
-        let mut b = BodyBuilder::new("f", 0, Ty::Unit);
-        for _ in 1..8 {
-            b.new_block();
-        }
-        for i in 0..8u32 {
-            b.switch_to(BasicBlock(i));
-            let outs: Vec<u32> = edges
-                .iter()
-                .filter(|(from, _)| *from == i)
-                .map(|(_, to)| *to)
-                .collect();
-            match outs.as_slice() {
-                [] => b.ret(),
-                [t] => b.goto(BasicBlock(*t)),
-                [t, rest @ ..] => {
-                    let otherwise = BasicBlock(rest[0]);
-                    b.switch_int(Operand::int(0), vec![(0, BasicBlock(*t))], otherwise);
-                }
-            }
-        }
-        let body = b.finish();
-        let dom = Dominators::new(&body);
-        let naive = naive_dominates(&body);
-        let cfg = Cfg::new(&body);
-        let reachable: std::collections::BTreeSet<usize> =
-            cfg.reachable().iter().map(|b| b.index()).collect();
-        #[allow(clippy::needless_range_loop)]
-        for target in 0..8usize {
-            if !reachable.contains(&target) {
-                continue;
-            }
-            for d in 0..8usize {
-                if !reachable.contains(&d) {
-                    continue;
-                }
-                prop_assert_eq!(
-                    dom.dominates(BasicBlock(d as u32), BasicBlock(target as u32)),
-                    naive[target][d],
-                    "does bb{} dominate bb{}?", d, target
-                );
-            }
-        }
+        let body = branchy_body(&edges, &blocks);
+        assert_fixpoint(&body, &MaybeStorageDead::solve(&body), &MaybeStorageDead::solve(&body))?;
+        assert_fixpoint(&body, &MaybeInvalid::solve(&body), &MaybeInvalid::solve(&body))?;
+        assert_fixpoint(&body, &MaybeFreed::solve(&body), &MaybeFreed::solve(&body))?;
+        assert_fixpoint(&body, &HeldGuards::solve(&body), &HeldGuards::solve(&body))?;
+        assert_fixpoint(&body, &ConstProp::solve(&body), &ConstProp::solve(&body))?;
+        let program = Program::from_bodies([body]);
+        let body = program.function("f").expect("generated body");
+        let (first, second) = (AnalysisCache::new(&program), AnalysisCache::new(&program));
+        assert_fixpoint(body, first.heap_state("f"), second.heap_state("f"))?;
     }
 }

@@ -1,11 +1,15 @@
 //! The detector suite's reports do not depend on how the work is spread:
 //! `check_programs` gives the same diagnostics, byte for byte, at any
-//! `--jobs` setting, and a single program's report is the same with the
-//! shared analysis cache on or off.
+//! `--jobs` setting, and a single program's report is the same whether its
+//! detectors share one analysis context or each run alone.
 
 use rust_safety_study::core::config::DetectorConfig;
-use rust_safety_study::core::detectors::{AnalysisContext, Detector, DoubleFree, UseAfterFree};
+use rust_safety_study::core::detectors::{
+    AnalysisContext, BlockingMisuse, BufferOverflow, Detector, DoubleFree, DoubleLock,
+    InteriorMutability, InvalidFree, LockOrderInversion, NullDeref, UninitRead, UseAfterFree,
+};
 use rust_safety_study::core::suite::{DetectorSuite, Report};
+use rust_safety_study::core::Diagnostic;
 use rust_safety_study::corpus::all_entries;
 use rust_safety_study::mir::Program;
 
@@ -14,12 +18,8 @@ fn lines(report: &Report) -> Vec<String> {
     report.diagnostics().iter().map(|d| d.to_string()).collect()
 }
 
-fn rendered(program: &Program, shared_cache: bool) -> Vec<String> {
-    lines(
-        &DetectorSuite::new()
-            .with_shared_cache(shared_cache)
-            .check_program(program),
-    )
+fn rendered(program: &Program) -> Vec<String> {
+    lines(&DetectorSuite::new().check_program(program))
 }
 
 #[test]
@@ -38,7 +38,7 @@ fn parallel_reports_match_sequential_over_the_whole_corpus() {
     {
         assert_eq!(seq_name, entry.name);
         assert_eq!(par_name, entry.name);
-        let one = rendered(program, true);
+        let one = rendered(program);
         assert_eq!(
             lines(seq),
             one,
@@ -55,14 +55,45 @@ fn parallel_reports_match_sequential_over_the_whole_corpus() {
 }
 
 #[test]
-fn disabling_the_shared_cache_changes_nothing_but_speed() {
+fn sharing_one_context_changes_nothing_but_speed() {
+    // Every detector of the full suite, in its run order, each run alone
+    // over a fresh context by `Detector::check_program`.
+    let detectors: [&dyn Detector; 10] = [
+        &UseAfterFree,
+        &DoubleFree,
+        &InvalidFree,
+        &UninitRead,
+        &NullDeref,
+        &BufferOverflow,
+        &DoubleLock,
+        &LockOrderInversion,
+        &BlockingMisuse,
+        &InteriorMutability,
+    ];
+    let names: Vec<&str> = detectors.iter().map(|d| d.name()).collect();
+    assert_eq!(names, DetectorSuite::all_detector_names());
+    let config = DetectorConfig::new();
+    // The suite's sort: stable, by source position, then detector.
+    let position = |d: &Diagnostic| {
+        (
+            d.function.clone(),
+            d.effect_span,
+            d.effect_block,
+            d.effect_index,
+            d.detector.clone(),
+        )
+    };
     for entry in all_entries() {
         let program = entry.program();
-        let cached = rendered(&program, true);
-        let fresh = rendered(&program, false);
+        let mut alone: Vec<Diagnostic> = detectors
+            .iter()
+            .flat_map(|d| d.check_program(&program, &config))
+            .collect();
+        alone.sort_by_key(position);
         assert_eq!(
-            cached, fresh,
-            "entry `{}` diverges without the shared cache",
+            DetectorSuite::new().check_program(&program).diagnostics(),
+            alone,
+            "entry `{}` diverges when its detectors share one context",
             entry.name
         );
     }
