@@ -32,6 +32,24 @@ CARGO_TARGET_DIR=.bench_build cargo test --release -q --manifest-path e2ebench/C
 
 BIN=target/release/rust-safety-study
 
+echo "== traced benchmark slices =="
+# The benchmark is the only client that sends `"trace":true`. Its traced
+# run checks that the server's `total_ns` never exceeds the client's
+# latency and that the cache hits `timing.cache` reports are the repeats
+# it sent; it prints `"correct": false` on its last line otherwise.
+CARGO_TARGET_DIR=.bench_build cargo build --release -q --manifest-path e2ebench/Cargo.toml
+for workload in serve-corpus serve-manifest; do
+    LAST=$(.bench_build/release/e2ebench --server "$BIN" --workload "$workload" \
+        --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    case "$LAST" in
+    *'"correct": true'*) ;;
+    *)
+        echo "FAIL: traced $workload slice: $LAST" >&2
+        exit 1
+        ;;
+    esac
+done
+
 echo "== serve smoke check =="
 # Boot the analysis service on an ephemeral port, fire the three
 # serve-smoke fixtures at it, assert a cache hit on the repeat request,

@@ -1,22 +1,30 @@
-//! FNV-1a content hashing for manifest entries.
+//! FNV-1a content hashing for manifest entries and the service's result
+//! cache keys.
 //!
 //! Manifests record a content hash per ingested file so consumers can tell
 //! whether a tree drifted since ingestion without re-reading it. FNV-1a is
-//! used (as in the service cache) because it is tiny, dependency-free, and
-//! deterministic across platforms — the manifest needs a fingerprint, not
-//! cryptographic strength.
+//! used because it is tiny, dependency-free, and deterministic across
+//! platforms — the manifest needs a fingerprint, not cryptographic
+//! strength.
 
-const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, and the state
+/// [`fold`] starts from.
+pub const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the running 64-bit FNV-1a hash `state`. Folding
+/// several slices in turn hashes their concatenation.
+pub fn fold(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= u64::from(b);
+        state = state.wrapping_mul(PRIME);
+    }
+    state
+}
 
 /// 64-bit FNV-1a over a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = OFFSET_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    fold(OFFSET_BASIS, bytes)
 }
 
 /// The manifest encoding of a content hash: `fnv1a64:<16 hex digits>`.
@@ -34,6 +42,11 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn folding_in_pieces_hashes_the_concatenation() {
+        assert_eq!(fold(fold(OFFSET_BASIS, b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -711,14 +711,6 @@ impl<'p> Machine<'p> {
                 }
                 self.trace.push_back(event);
             }
-            rstudy_telemetry::trace(|| {
-                let tid = ThreadId(pick as u32);
-                let frame = self.top_frame(tid);
-                format!(
-                    "interp: {tid} {}::bb{}[{}]",
-                    frame.function, frame.block.0, frame.stmt
-                )
-            });
             if let Err(f) = self.step(ThreadId(pick as u32)) {
                 fault = Some(f);
                 break;

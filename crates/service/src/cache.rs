@@ -13,11 +13,14 @@
 //!   directory answers a cold server's first repeat request without
 //!   running a single detector.
 //!
-//! Entries store the *compact report JSON text*. Re-serializing a parsed
-//! entry reproduces the stored bytes (the JSON data model preserves field
-//! order), so cached and freshly-computed responses embed byte-identical
-//! report objects. A lookup counts as a hit only when the stored text
-//! decodes: a corrupt disk file is a miss and is never promoted.
+//! Entries store the *compact report JSON text*, encoded once by the
+//! worker that computed it, together with its finding count; responses
+//! splice those bytes in verbatim, so cached and freshly-computed
+//! responses embed byte-identical report objects. A memory hit returns the
+//! stored text without decoding it. A disk entry counts as a hit only when
+//! it decodes: a corrupt file is a miss and is never promoted, and a valid
+//! one is re-encoded once (the JSON data model preserves field order)
+//! before promotion, so spliced bytes are always the canonical encoding.
 //!
 //! [`ResultCache::key`] folds in [`rstudy_core::SUITE_VERSION`], so a
 //! cache directory written by an older detector suite is silently treated
@@ -31,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rstudy_core::SUITE_VERSION;
+use rstudy_ingest::fnv;
 use serde::Value;
 
 /// A cache key: the FNV-1a hash of the request's semantic content.
@@ -43,21 +47,11 @@ impl CacheKey {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`, folded into `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(PRIME);
-    }
-    state
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// One memory-tier entry.
 struct MemEntry {
     report_json: String,
+    /// Length of the report's `diagnostics` array.
+    findings: u64,
     /// Monotonic use stamp; smallest stamp is the LRU victim.
     last_used: u64,
 }
@@ -113,40 +107,47 @@ impl ResultCache {
     /// the caller canonicalizes so that `["a","b"]` and `["b","a","a"]`
     /// share a key.
     pub fn key(program_text: &str, detectors: &[String], naive: bool) -> CacheKey {
-        let mut h = fnv1a(FNV_OFFSET, program_text.as_bytes());
-        h = fnv1a(h, &[0x1f]);
+        let mut h = fnv::fold(fnv::OFFSET_BASIS, program_text.as_bytes());
+        h = fnv::fold(h, &[0x1f]);
         for name in detectors {
-            h = fnv1a(h, name.as_bytes());
-            h = fnv1a(h, &[0x1e]);
+            h = fnv::fold(h, name.as_bytes());
+            h = fnv::fold(h, &[0x1e]);
         }
-        h = fnv1a(h, &[u8::from(naive)]);
-        h = fnv1a(h, &SUITE_VERSION.to_le_bytes());
+        h = fnv::fold(h, &[u8::from(naive)]);
+        h = fnv::fold(h, &SUITE_VERSION.to_le_bytes());
         CacheKey(h)
     }
 
-    /// Looks up a report, memory tier first, then disk, and decodes it.
-    /// Counts exactly one hit or miss: text that does not decode is a
-    /// miss, and a disk entry is promoted to memory only once it decodes.
-    pub fn get(&self, key: CacheKey) -> Option<Value> {
-        let mem_text = {
+    /// Looks up a report, memory tier first, then disk, and returns its
+    /// compact JSON text with its finding count. Counts exactly one hit or
+    /// miss: a disk entry that does not decode is a miss, and one that does
+    /// is re-encoded canonically and promoted to memory.
+    pub fn get(&self, key: CacheKey) -> Option<(String, u64)> {
+        let mem_hit = {
             let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
             mem.clock += 1;
             let clock = mem.clock;
             mem.entries.get_mut(&key.0).map(|entry| {
                 entry.last_used = clock;
-                entry.report_json.clone()
+                (entry.report_json.clone(), entry.findings)
             })
         };
-        if let Some(report) = mem_text.and_then(|text| serde_json::from_str(&text).ok()) {
+        if mem_hit.is_some() {
             self.stats.mem_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(report);
+            return mem_hit;
         }
         if let Some(dir) = &self.dir {
-            if let Ok(report_json) = fs::read_to_string(dir.join(key.file_name())) {
-                if let Ok(report) = serde_json::from_str(&report_json) {
+            if let Ok(text) = fs::read_to_string(dir.join(key.file_name())) {
+                if let Ok(report) = serde_json::from_str::<Value>(&text) {
                     self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.insert_mem(key, report_json);
-                    return Some(report);
+                    let findings = report
+                        .get("diagnostics")
+                        .and_then(Value::as_array)
+                        .map_or(0, |d| d.len() as u64);
+                    let report_json =
+                        serde_json::to_string(&report).expect("report serialization cannot fail");
+                    self.insert_mem(key, report_json.clone(), findings);
+                    return Some((report_json, findings));
                 }
             }
         }
@@ -154,15 +155,16 @@ impl ResultCache {
         None
     }
 
-    /// Inserts a freshly computed report into both tiers. Disk failures
-    /// degrade the cache, never the request: the error is returned for
-    /// logging but the memory tier is always updated.
-    pub fn put(&self, key: CacheKey, report_json: &str) -> io::Result<()> {
-        self.insert_mem(key, report_json.to_owned());
+    /// Inserts a freshly computed report (its compact JSON text and finding
+    /// count) into both tiers. Disk failures degrade the cache, never the
+    /// request: the error is returned for logging but the memory tier is
+    /// always updated.
+    pub fn put(&self, key: CacheKey, report_json: &str, findings: u64) -> io::Result<()> {
+        self.insert_mem(key, report_json.to_owned(), findings);
         self.write_disk(key, report_json)
     }
 
-    fn insert_mem(&self, key: CacheKey, report_json: String) {
+    fn insert_mem(&self, key: CacheKey, report_json: String, findings: u64) {
         let mut mem = self.mem.lock().unwrap_or_else(|e| e.into_inner());
         mem.clock += 1;
         let clock = mem.clock;
@@ -170,6 +172,7 @@ impl ResultCache {
             key.0,
             MemEntry {
                 report_json,
+                findings,
                 last_used: clock,
             },
         );
@@ -246,11 +249,12 @@ mod tests {
         );
     }
 
-    /// The looked-up report re-encoded: on a hit, the stored bytes.
-    fn get_text(cache: &ResultCache, key: CacheKey) -> Option<String> {
-        cache
-            .get(key)
-            .map(|report| serde_json::to_string(&report).unwrap())
+    /// Keys name disk files, so a cache directory written by an earlier
+    /// build stays warm only while the key of a fixed input is unchanged.
+    #[test]
+    fn key_of_a_fixed_input_is_stable() {
+        let key = ResultCache::key("prog", &det(&["a", "b"]), false);
+        assert_eq!(key, CacheKey(0x0a82_8efe_7652_b96c));
     }
 
     #[test]
@@ -258,15 +262,15 @@ mod tests {
         let cache = ResultCache::new(2, None).unwrap();
         let (k1, k2, k3) = (CacheKey(1), CacheKey(2), CacheKey(3));
         assert_eq!(cache.get(k1), None);
-        cache.put(k1, "[1]").unwrap();
-        cache.put(k2, "[2]").unwrap();
-        assert_eq!(get_text(&cache, k1).as_deref(), Some("[1]"));
+        cache.put(k1, "[1]", 1).unwrap();
+        cache.put(k2, "[2]", 2).unwrap();
+        assert_eq!(cache.get(k1), Some(("[1]".to_owned(), 1)));
         // k2 is now least recently used; inserting k3 evicts it.
-        cache.put(k3, "[3]").unwrap();
+        cache.put(k3, "[3]", 3).unwrap();
         assert_eq!(cache.mem_len(), 2);
         assert_eq!(cache.get(k2), None);
-        assert_eq!(get_text(&cache, k1).as_deref(), Some("[1]"));
-        assert_eq!(get_text(&cache, k3).as_deref(), Some("[3]"));
+        assert_eq!(cache.get(k1), Some(("[1]".to_owned(), 1)));
+        assert_eq!(cache.get(k3), Some(("[3]".to_owned(), 3)));
         assert_eq!(cache.stats.misses.load(Ordering::Relaxed), 2);
         assert!(cache.stats.mem_hits.load(Ordering::Relaxed) >= 3);
     }
@@ -276,18 +280,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rstudy-cache-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let key = CacheKey(0xfeed);
+        let report = r#"{"diagnostics":[{"a":1},{"b":2}]}"#;
         {
             let cache = ResultCache::new(8, Some(dir.clone())).unwrap();
-            cache.put(key, r#"{"diagnostics":[]}"#).unwrap();
+            cache.put(key, report, 2).unwrap();
         }
         let cold = ResultCache::new(8, Some(dir.clone())).unwrap();
-        let text = get_text(&cold, key);
-        assert_eq!(text.as_deref(), Some(r#"{"diagnostics":[]}"#));
+        assert_eq!(cold.get(key), Some((report.to_owned(), 2)));
         assert_eq!(cold.stats.disk_hits.load(Ordering::Relaxed), 1);
         // The disk hit was promoted: the next lookup hits memory.
-        let text = get_text(&cold, key);
-        assert_eq!(text.as_deref(), Some(r#"{"diagnostics":[]}"#));
+        assert_eq!(cold.get(key), Some((report.to_owned(), 2)));
         assert_eq!(cold.stats.mem_hits.load(Ordering::Relaxed), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Responses splice the returned bytes verbatim, so a valid disk entry
+    /// that is not in compact form comes back canonically encoded.
+    #[test]
+    fn disk_hit_is_reencoded_compactly() {
+        let dir = std::env::temp_dir().join(format!("rstudy-spaced-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cache = ResultCache::new(8, Some(dir.clone())).unwrap();
+        let key = CacheKey(0x5ace);
+        fs::write(dir.join(key.file_name()), r#"{ "diagnostics" : [ ] }"#).unwrap();
+        let canonical = Some((r#"{"diagnostics":[]}"#.to_owned(), 0));
+        assert_eq!(cache.get(key), canonical);
+        assert_eq!(cache.get(key), canonical, "the promoted memory entry");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -311,7 +329,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let cache = ResultCache::new(8, Some(dir.clone())).unwrap();
         let key = CacheKey(0xbeef);
-        cache.put(key, "r").unwrap();
+        cache.put(key, "r", 0).unwrap();
         fs::remove_file(dir.join(key.file_name())).unwrap();
         assert_eq!(cache.flush(), 1);
         assert!(dir.join(key.file_name()).exists());

@@ -9,32 +9,35 @@
 //!   instead of blocking a worker or the event loop. `sample` keeps every
 //!   Nth request for high-traffic deployments. The channel is closed and
 //!   the writer joined (hence flushed) during graceful drain.
-//! * [`FlightRecorder`] — a lock-protected ring of the last
-//!   [`FLIGHT_RING`] completed requests' span timelines. A request whose
+//! * [`FlightRecorder`] — a bounded incident buffer. A request whose
 //!   total latency exceeds `--slow-ms`, or that timed out or panicked, is
-//!   promoted into a bounded incident buffer and can be dumped as
+//!   promoted into it with its span timeline and can be dumped as
 //!   Chrome-trace JSON (`{"cmd":"incidents"}`, and at shutdown) — the
 //!   postmortem view of exactly the p99 outliers scrape-time snapshots
-//!   miss.
+//!   miss. Requests that are not promoted leave nothing behind.
 //! * [`DetectorStats`] — per-detector latency histograms and finding
 //!   counters, recorded from the suite's timed runs whether or not global
 //!   telemetry is enabled. Exposed identically by the `metrics` NDJSON
 //!   command and the Prometheus `/metrics` families so the two surfaces
 //!   cannot drift.
 //!
-//! Status counters (`rstudy_responses_total`) count answers, once per
-//! admitted check; the work histograms count work done, discarded work
-//! included. The module also holds the scrape endpoint's minimal HTTP/1.0
+//! Every admitted check carries one [`CheckRecord`]: minted at admission,
+//! completed with the stages its worker timed, and settled once. The
+//! response's `timing` and `trace`, the access-log line, the incident
+//! timeline and the latency-histogram sample all render from that record
+//! and one `total_ns`. Status counters (`rstudy_responses_total`) count
+//! answers, once per admitted check; the work histograms count work done,
+//! discarded work included. The module also holds the scrape endpoint's minimal HTTP/1.0
 //! plumbing: head parsing and response framing, no dependencies.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread::JoinHandle;
-use std::time::SystemTime;
+use std::time::{Instant, SystemTime};
 
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
 use serde::Value;
@@ -113,40 +116,30 @@ impl AccessLog {
     }
 }
 
-/// Serializes one access-log line (with trailing newline): wall-clock
-/// timestamp, trace id, command, status, cache disposition, per-stage
-/// nanoseconds, the canonical detector set, and the connection token.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn access_line(
-    conn: u64,
-    trace_id: u64,
-    cmd: &str,
-    status: &str,
-    cache: Option<&str>,
-    queue_ns: u64,
-    analysis_ns: u64,
-    total_ns: u64,
-    detectors: &[String],
-) -> String {
+/// Serializes one access-log line (with trailing newline) from a settled
+/// check: wall-clock timestamp, trace id, status, cache disposition, the
+/// record's derived stage nanoseconds and `total_ns`, the canonical
+/// detector set, and the connection token.
+pub(crate) fn access_line(conn: u64, record: &CheckRecord, status: &str, total_ns: u64) -> String {
     let ts_ms = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64);
-    let cache = match cache {
+    let cache = match record.cache {
         Some(c) => Value::Str(c.to_owned()),
         None => Value::Null,
     };
     let mut line = serde_json::to_string(&Value::Map(vec![
         ("ts_ms".to_owned(), Value::UInt(ts_ms)),
-        ("trace_id".to_owned(), Value::UInt(trace_id)),
-        ("cmd".to_owned(), Value::Str(cmd.to_owned())),
+        ("trace_id".to_owned(), Value::UInt(record.trace_id)),
+        ("cmd".to_owned(), Value::Str("check".to_owned())),
         ("status".to_owned(), Value::Str(status.to_owned())),
         ("cache".to_owned(), cache),
-        ("queue_ns".to_owned(), Value::UInt(queue_ns)),
-        ("analysis_ns".to_owned(), Value::UInt(analysis_ns)),
+        ("queue_ns".to_owned(), Value::UInt(record.queue_ns())),
+        ("analysis_ns".to_owned(), Value::UInt(record.analysis_ns())),
         ("total_ns".to_owned(), Value::UInt(total_ns)),
         (
             "detectors".to_owned(),
-            Value::Seq(detectors.iter().map(|d| Value::Str(d.clone())).collect()),
+            Value::Seq(record.detectors.iter().cloned().map(Value::Str).collect()),
         ),
         ("conn".to_owned(), Value::UInt(conn)),
     ]))
@@ -158,9 +151,6 @@ pub(crate) fn access_line(
 // ---------------------------------------------------------------------------
 // Flight recorder
 // ---------------------------------------------------------------------------
-
-/// How many completed-request timelines the ring retains.
-pub(crate) const FLIGHT_RING: usize = 64;
 
 /// Bound of the promoted-incident buffer; promotions beyond it are
 /// counted but not retained.
@@ -175,22 +165,71 @@ pub(crate) struct Stage {
     pub end_ns: u64,
 }
 
-/// The full per-stage trace of one completed request.
+/// What the service records about one admitted check. The front end
+/// mints it at admission and fills in what it resolves (detector set,
+/// cache disposition); the worker's completion adds the stages it timed.
+/// `settle_check` measures `total_ns` once and renders the response, the
+/// access-log line and the incident timeline from the record.
+pub(crate) struct CheckRecord {
+    pub trace_id: u64,
+    /// Admission instant: `total_ns` and every stage offset start here.
+    pub admitted: Instant,
+    /// The canonical detector set; empty until it is resolved.
+    pub detectors: Vec<String>,
+    /// The cache lookup's outcome, `"hit"` or `"miss"`; `None` only when
+    /// the check failed before the lookup.
+    pub cache: Option<&'static str>,
+    /// The stages the worker timed: `queue`, then `delay`, `parse` and
+    /// `check` as far as the job got.
+    pub stages: Vec<Stage>,
+}
+
+impl CheckRecord {
+    /// A freshly admitted check: nothing resolved, nothing timed.
+    pub fn new(trace_id: u64, admitted: Instant) -> CheckRecord {
+        CheckRecord {
+            trace_id,
+            admitted,
+            detectors: Vec::new(),
+            cache: None,
+            stages: Vec::new(),
+        }
+    }
+
+    /// Nanoseconds spent in the named stage (0 if it never ran).
+    pub fn stage_ns(&self, name: &str) -> u64 {
+        self.stages
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.end_ns.saturating_sub(s.start_ns))
+    }
+
+    /// Time the job waited in the bounded queue.
+    pub fn queue_ns(&self) -> u64 {
+        self.stage_ns("queue")
+    }
+
+    /// Parse + validate + detector-suite time.
+    pub fn analysis_ns(&self) -> u64 {
+        self.stage_ns("parse") + self.stage_ns("check")
+    }
+}
+
+/// The per-stage trace of one promoted request.
 #[derive(Debug, Clone)]
 pub(crate) struct RequestTimeline {
     pub trace_id: u64,
     pub status: &'static str,
-    /// Why the timeline was promoted to an incident, if it was.
-    pub reason: Option<&'static str>,
+    /// Why the timeline was promoted: `slow`, `timeout` or `panic`.
+    pub reason: &'static str,
     pub total_ns: u64,
     pub stages: Vec<Stage>,
 }
 
-/// A lock-protected ring of recent request timelines plus the bounded
-/// incident buffer slow/timed-out/panicked requests are promoted into.
+/// The bounded incident buffer slow, timed-out and panicked requests are
+/// promoted into.
 pub(crate) struct FlightRecorder {
     slow_ns: Option<u64>,
-    ring: Mutex<VecDeque<RequestTimeline>>,
     incidents: Mutex<Vec<RequestTimeline>>,
     promoted: AtomicU64,
 }
@@ -201,7 +240,6 @@ impl FlightRecorder {
     pub fn new(slow_ms: Option<u64>) -> FlightRecorder {
         FlightRecorder {
             slow_ns: slow_ms.map(|ms| ms.saturating_mul(1_000_000)),
-            ring: Mutex::new(VecDeque::with_capacity(FLIGHT_RING)),
             incidents: Mutex::new(Vec::new()),
             promoted: AtomicU64::new(0),
         }
@@ -225,43 +263,29 @@ impl FlightRecorder {
         }
     }
 
-    /// Records one completed request's timeline, promoting it to the
-    /// incident buffer when it is slow, timed out, or panicked.
+    /// Promotes one settled check to the incident buffer when it is slow,
+    /// timed out, or panicked.
     pub fn record(
         &self,
-        trace_id: u64,
+        record: &CheckRecord,
         status: &'static str,
         panicked: bool,
         total_ns: u64,
-        stages: Vec<Stage>,
     ) {
-        let reason = self.promotion_reason(status, panicked, total_ns);
-        let timeline = RequestTimeline {
-            trace_id,
-            status,
-            reason,
-            total_ns,
-            stages,
+        let Some(reason) = self.promotion_reason(status, panicked, total_ns) else {
+            return;
         };
-        {
-            let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-            if ring.len() == FLIGHT_RING {
-                ring.pop_front();
-            }
-            ring.push_back(timeline.clone());
+        self.promoted.fetch_add(1, Ordering::Relaxed);
+        let mut incidents = self.incidents.lock().unwrap_or_else(|e| e.into_inner());
+        if incidents.len() < INCIDENT_CAP {
+            incidents.push(RequestTimeline {
+                trace_id: record.trace_id,
+                status,
+                reason,
+                total_ns,
+                stages: record.stages.clone(),
+            });
         }
-        if reason.is_some() {
-            self.promoted.fetch_add(1, Ordering::Relaxed);
-            let mut incidents = self.incidents.lock().unwrap_or_else(|e| e.into_inner());
-            if incidents.len() < INCIDENT_CAP {
-                incidents.push(timeline);
-            }
-        }
-    }
-
-    /// Timelines currently held in the ring.
-    pub fn ring_len(&self) -> usize {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Incidents currently retained in the buffer.
@@ -284,10 +308,7 @@ impl FlightRecorder {
         let incidents = self.incidents.lock().unwrap_or_else(|e| e.into_inner());
         let mut events = Vec::new();
         for t in incidents.iter() {
-            let label = match t.reason {
-                Some(reason) => format!("request #{}: {} ({reason})", t.trace_id, t.status),
-                None => format!("request #{}: {}", t.trace_id, t.status),
-            };
+            let label = format!("request #{}: {} ({})", t.trace_id, t.status, t.reason);
             push_span(&mut events, &label, t.trace_id, 0, t.total_ns);
             for s in &t.stages {
                 push_span(&mut events, s.name, t.trace_id, s.start_ns, s.end_ns);
@@ -454,11 +475,11 @@ mod tests {
     #[test]
     fn flight_recorder_promotes_slow_timeout_and_panic() {
         let rec = FlightRecorder::new(Some(10)); // 10 ms threshold
-        rec.record(1, "ok", false, 1_000_000, Vec::new()); // fast: ring only
-        rec.record(2, "ok", false, 50_000_000, Vec::new()); // slow
-        rec.record(3, "timeout", false, 1_000, Vec::new());
-        rec.record(4, "error", true, 1_000, Vec::new());
-        assert_eq!(rec.ring_len(), 4);
+        let check = |trace_id| CheckRecord::new(trace_id, Instant::now());
+        rec.record(&check(1), "ok", false, 1_000_000); // fast: not kept
+        rec.record(&check(2), "ok", false, 50_000_000); // slow
+        rec.record(&check(3), "timeout", false, 1_000);
+        rec.record(&check(4), "error", true, 1_000);
         assert_eq!(rec.incident_count(), 3);
         assert_eq!(rec.promoted(), 3);
         let trace = rec.chrome_trace();
@@ -468,16 +489,6 @@ mod tests {
         let e = events.iter().filter(|e| phase(e) == "E").count();
         assert_eq!(b, e);
         assert!(b >= 3, "one outer span per incident: {b}");
-    }
-
-    #[test]
-    fn flight_ring_is_bounded() {
-        let rec = FlightRecorder::new(None);
-        for i in 0..(FLIGHT_RING as u64 + 10) {
-            rec.record(i, "ok", false, 1, Vec::new());
-        }
-        assert_eq!(rec.ring_len(), FLIGHT_RING);
-        assert_eq!(rec.incident_count(), 0);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   run order is always canonical, so the detector *set* alone determines
 //!   the report.
 //! * `naive` — use the paper's unoptimized interprocedural mode.
-//! * `trace` — attach per-request timing (`parse_ns`, `check_ns`) to the
-//!   response. Timings are measured, hence non-deterministic; they are
-//!   never part of the cached report.
+//! * `trace` — attach per-request timing (`parse_ns`, `check_ns` on a
+//!   cache miss, and `total_ns`) to the response. Timings are measured,
+//!   hence non-deterministic; they are never part of the cached report.
 //! * `delay_ms` — artificial work injected before the analysis. A testing
 //!   aid for exercising timeout, backpressure, and drain paths
 //!   deterministically; harmless in production (default 0).
@@ -59,7 +59,10 @@
 //!   hit: hits never queue);
 //! * `analysis_ns` — parse + validate + detector-suite time (0 on a cache
 //!   hit);
-//! * `total_ns` — request admission to response construction;
+//! * `total_ns` — request admission to settle, when the answer is ready
+//!   to send. It is measured once per check and is the same number in
+//!   `timing`, in `trace`, in the access log, in an incident's outer span
+//!   and in the request-latency histogram;
 //! * `cache` — `"hit"` or `"miss"`.
 //!
 //! Timings are measured, hence non-deterministic; like the `trace` field
@@ -368,18 +371,26 @@ impl ResponseBuilder {
     pub fn finish(self) -> String {
         to_string(&Value::Map(self.entries)).expect("response serialization cannot fail")
     }
+
+    /// Serializes to one compact JSON line whose last field is `name` with
+    /// `raw`, an already-encoded compact JSON value, spliced in verbatim.
+    pub fn finish_with_raw(self, name: &str, raw: &str) -> String {
+        let name = to_string(&Value::Str(name.to_owned())).expect("a string always serializes");
+        let mut line = self.finish();
+        line.pop(); // the map's closing brace
+        line.reserve(name.len() + raw.len() + 3);
+        line.push(',');
+        line.push_str(&name);
+        line.push(':');
+        line.push_str(raw);
+        line.push('}');
+        line
+    }
 }
 
 /// An `error` response.
 pub fn error_response(id: &Option<Value>, message: &str) -> String {
     ResponseBuilder::new(id, "error")
-        .field("error", Value::Str(message.to_owned()))
-        .finish()
-}
-
-/// A degraded-status response (`timeout`, `overloaded`, ...) with a reason.
-pub fn degraded_response(id: &Option<Value>, status: &str, message: &str) -> String {
-    ResponseBuilder::new(id, status)
         .field("error", Value::Str(message.to_owned()))
         .finish()
 }

@@ -9,10 +9,12 @@
 //! ```
 //!
 //! Two front ends share one request path. `dispatch` turns a request line
-//! into its answer or into a check queued for the worker pool, and
-//! `settle_check` closes out every admitted check exactly once, counting
-//! the status of the response actually sent. A front end only decides how
-//! a queued check waits for its completion:
+//! into its answer or into a check queued for the worker pool. Every
+//! admitted check carries one `CheckRecord`; `settle_check` closes it out
+//! exactly once, measuring its `total_ns` and rendering the response, the
+//! status count, the latency sample, the access-log line and any incident
+//! from that record. A front end only decides how a queued check waits for
+//! its completion:
 //!
 //! * **TCP** (Linux) — a single I/O thread owns the nonblocking listener
 //!   and every connection, reacting to readiness through `epoll`.
@@ -46,10 +48,10 @@ use rstudy_ingest::Manifest;
 use rstudy_mir::parse::parse_program;
 use rstudy_mir::validate::validate_program;
 use rstudy_telemetry::{HistogramSnapshot, LocalHistogram};
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::obs::{self, Stage};
+use crate::obs::{self, CheckRecord, Stage};
 use crate::protocol::{
     error_response, parse_request, CheckRequest, Command, ProgramSource, ResponseBuilder,
 };
@@ -112,69 +114,6 @@ struct ServeStats {
     overloaded: AtomicU64,
 }
 
-/// The status of a check's response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Ok,
-    Error,
-    Timeout,
-    Overloaded,
-}
-
-impl Status {
-    fn as_str(self) -> &'static str {
-        match self {
-            Status::Ok => "ok",
-            Status::Error => "error",
-            Status::Timeout => "timeout",
-            Status::Overloaded => "overloaded",
-        }
-    }
-}
-
-/// Everything the observability plane records about one answered check
-/// request: produced wherever the response is built, consumed exactly
-/// once by [`settle_check`] — which is also what guarantees exactly one
-/// status count, access-log line and flight-recorder timeline per
-/// admitted check.
-struct RequestOutcome {
-    status: Status,
-    cache: Option<&'static str>,
-    queue_ns: u64,
-    analysis_ns: u64,
-    detectors: Vec<String>,
-    stages: Vec<Stage>,
-    panicked: bool,
-}
-
-impl RequestOutcome {
-    /// An outcome answered without worker involvement (validation error,
-    /// shed load, timeout): no stages, no cache disposition.
-    fn inline(status: Status) -> RequestOutcome {
-        RequestOutcome {
-            status,
-            cache: None,
-            queue_ns: 0,
-            analysis_ns: 0,
-            detectors: Vec::new(),
-            stages: Vec::new(),
-            panicked: false,
-        }
-    }
-
-    fn cache_hit(detectors: Vec<String>) -> RequestOutcome {
-        RequestOutcome {
-            status: Status::Ok,
-            cache: Some("hit"),
-            queue_ns: 0,
-            analysis_ns: 0,
-            detectors,
-            stages: Vec::new(),
-            panicked: false,
-        }
-    }
-}
-
 /// Where a worker delivers a finished check: back to the connection that
 /// queued it. Each connection (the stdin stream is one) holds one, and
 /// every job carries a clone.
@@ -204,32 +143,30 @@ impl Responder {
     }
 }
 
-/// A finished check travelling from a worker back to its front end. The
-/// front end compares `trace_id` with the check it is waiting on: a
-/// completion for a check it already answered `timeout` is stale and is
-/// dropped uncounted.
+/// A finished check travelling from a worker back to its front end: the
+/// stages the worker timed and its answer. The front end compares
+/// `trace_id` with the check it is waiting on: a completion for a check it
+/// already answered `timeout` is stale and is dropped uncounted.
 struct Completion {
     trace_id: u64,
-    response: String,
-    outcome: RequestOutcome,
+    stages: Vec<Stage>,
+    answer: Answer,
 }
 
 /// One unit of analysis work travelling from a front end to the worker
-/// pool. The responder carries the finished response line back.
+/// pool. The responder carries the completion back.
 struct Job {
-    id: Option<Value>,
-    /// Server-unique request trace id, echoed in the response and threaded
-    /// through the telemetry trace log.
+    /// Server-unique request trace id, threaded through the telemetry
+    /// trace log.
     trace_id: u64,
     program_text: String,
     /// Canonicalized detector set (validated, canonical order).
     detectors: Vec<String>,
     naive: bool,
-    trace: bool,
     delay_ms: u64,
     key: CacheKey,
-    /// When the front end admitted the request (starts `total_ns`).
-    accepted_at: Instant,
+    /// When the front end admitted the request (stage offsets start here).
+    admitted: Instant,
     /// When the job entered the bounded queue (starts `queue_ns`).
     enqueued_at: Instant,
     deadline: Option<Instant>,
@@ -249,9 +186,9 @@ struct ServerState {
     inflight: AtomicU64,
     /// Source of per-request trace ids (first request gets 1).
     next_trace_id: AtomicU64,
-    /// Request latency (admission → response built), nanoseconds. Always
-    /// recorded — the `metrics` command must answer even when global
-    /// telemetry is off.
+    /// Request latency (admission → settle: every answer's `total_ns`),
+    /// nanoseconds. Always recorded — the `metrics` command must answer
+    /// even when global telemetry is off.
     latency_ns: LocalHistogram,
     /// Time jobs waited in the bounded queue, nanoseconds.
     queue_ns: LocalHistogram,
@@ -1121,7 +1058,7 @@ mod epoll_loop {
                 if conn
                     .inflight
                     .as_ref()
-                    .is_some_and(|p| p.admission.trace_id == done.trace_id)
+                    .is_some_and(|p| p.record.trace_id == done.trace_id)
                 {
                     let pending = conn.inflight.take().expect("matched above");
                     conn.push_response(&pending.settle(r.state, token, Some(done)));
@@ -1347,7 +1284,7 @@ fn await_completion(rx: &mpsc::Receiver<Completion>, pending: &PendingCheck) -> 
                 .recv_timeout(d.saturating_duration_since(Instant::now()))
                 .ok()?,
         };
-        if done.trace_id == pending.admission.trace_id {
+        if done.trace_id == pending.record.trace_id {
             return Some(done);
         }
     }
@@ -1417,7 +1354,6 @@ struct ServiceSnapshot {
     analysis_ns: HistogramSnapshot,
     detectors: Vec<obs::DetectorStatSnapshot>,
     incidents_promoted: u64,
-    flight_ring_entries: u64,
     access_log_dropped: u64,
 }
 
@@ -1444,7 +1380,6 @@ impl ServerState {
             analysis_ns: self.analysis_ns.snapshot(),
             detectors: self.detectors.snapshot(),
             incidents_promoted: self.flight.promoted(),
-            flight_ring_entries: self.flight.ring_len() as u64,
             access_log_dropped: self.access.as_ref().map_or(0, |l| l.dropped()),
         }
     }
@@ -1588,11 +1523,6 @@ impl ServiceSnapshot {
         gauge(&mut out, "rstudy_inflight", self.inflight);
         gauge(&mut out, "rstudy_cache_mem_entries", self.cache_mem_entries);
         gauge(&mut out, "rstudy_workers", self.workers);
-        gauge(
-            &mut out,
-            "rstudy_flight_ring_entries",
-            self.flight_ring_entries,
-        );
         let _ = writeln!(out, "# TYPE rstudy_uptime_seconds gauge");
         let _ = writeln!(
             out,
@@ -1642,7 +1572,6 @@ fn incidents_response(id: &Option<Value>, state: &ServerState) -> String {
     ResponseBuilder::new(id, "incidents")
         .field("count", Value::UInt(state.flight.incident_count() as u64))
         .field("promoted", Value::UInt(state.flight.promoted()))
-        .field("ring", Value::UInt(state.flight.ring_len() as u64))
         .field("trace", state.flight.chrome_trace())
         .finish()
 }
@@ -1676,64 +1605,133 @@ pub(crate) fn histogram_summary(snap: &HistogramSnapshot) -> Value {
 // The check lifecycle: admit → start → (wait | completion) → settle
 // ---------------------------------------------------------------------------
 
-/// Bookkeeping minted when a check request is admitted; closed out by
-/// [`settle_check`] exactly once, whichever path answers the request.
-struct Admission {
-    trace_id: u64,
-    started: Instant,
+/// How an admitted check was answered; the variant is the response status.
+enum Answer {
+    /// The report's compact JSON text, encoded once and spliced into the
+    /// response verbatim, with its finding count.
+    Ok {
+        report: String,
+        findings: u64,
+    },
+    Error(String),
+    /// The analysis panicked: answered `error`, promoted as `panic`.
+    Panicked,
+    Timeout,
+    Overloaded,
 }
 
-/// Counts the request in and assigns its trace id.
-fn admit_check(state: &ServerState) -> Admission {
-    let started = Instant::now();
+impl Answer {
+    fn status(&self) -> &'static str {
+        match self {
+            Answer::Ok { .. } => "ok",
+            Answer::Error(_) | Answer::Panicked => "error",
+            Answer::Timeout => "timeout",
+            Answer::Overloaded => "overloaded",
+        }
+    }
+}
+
+/// Counts the request in and mints its record.
+fn admit_check(state: &ServerState) -> CheckRecord {
+    let admitted = Instant::now();
     let trace_id = state.next_trace_id.fetch_add(1, Ordering::Relaxed) + 1;
     state.stats.requests.fetch_add(1, Ordering::Relaxed);
     state.inflight.fetch_add(1, Ordering::Relaxed);
     rstudy_telemetry::trace(|| format!("serve: request {trace_id} admitted"));
-    Admission { trace_id, started }
+    CheckRecord::new(trace_id, admitted)
 }
 
 /// Closes out an admitted check, exactly once, whichever path answered
-/// it: counts the status of the response sent, records its latency,
-/// retires it from the in-flight count, and feeds the flight recorder and
-/// the access log.
-fn settle_check(state: &ServerState, admission: &Admission, conn: u64, outcome: RequestOutcome) {
+/// it: measures `total_ns`, counts the status, records the latency,
+/// retires the check from the in-flight count, feeds the flight recorder
+/// and the access log, and renders the response to send — all from
+/// `record` and that one total. `trace` is whether the request asked for
+/// the `trace` object.
+fn settle_check(
+    state: &ServerState,
+    conn: u64,
+    id: &Option<Value>,
+    trace: bool,
+    record: CheckRecord,
+    answer: Answer,
+) -> String {
+    let total_ns = record.admitted.elapsed().as_nanos() as u64;
     let stats = &state.stats;
-    let tally = match outcome.status {
-        Status::Ok => &stats.ok,
-        Status::Error => &stats.errors,
-        Status::Timeout => &stats.timeouts,
-        Status::Overloaded => &stats.overloaded,
+    let tally = match answer {
+        Answer::Ok { .. } => &stats.ok,
+        Answer::Error(_) | Answer::Panicked => &stats.errors,
+        Answer::Timeout => &stats.timeouts,
+        Answer::Overloaded => &stats.overloaded,
     };
     tally.fetch_add(1, Ordering::Relaxed);
-    let elapsed_ns = admission.started.elapsed().as_nanos() as u64;
-    state.latency_ns.record(elapsed_ns);
+    state.latency_ns.record(total_ns);
     state.inflight.fetch_sub(1, Ordering::Relaxed);
-    let trace_id = admission.trace_id;
-    let status = outcome.status.as_str();
-    state.flight.record(
-        trace_id,
-        status,
-        outcome.panicked,
-        elapsed_ns,
-        outcome.stages,
-    );
+    let status = answer.status();
+    let panicked = matches!(answer, Answer::Panicked);
+    state.flight.record(&record, status, panicked, total_ns);
     if let Some(log) = &state.access {
-        log.record(|| {
-            obs::access_line(
-                conn,
-                trace_id,
-                "check",
-                status,
-                outcome.cache,
-                outcome.queue_ns,
-                outcome.analysis_ns,
-                elapsed_ns,
-                &outcome.detectors,
-            )
-        });
+        log.record(|| obs::access_line(conn, &record, status, total_ns));
     }
-    rstudy_telemetry::trace(|| format!("serve: request {trace_id} answered in {elapsed_ns} ns"));
+    let trace_id = record.trace_id;
+    rstudy_telemetry::trace(|| format!("serve: request {trace_id} answered in {total_ns} ns"));
+    render(state, id, trace, &record, total_ns, answer)
+}
+
+/// The response line for a settled check. An `ok` answer carries the
+/// record's `timing` (and `trace`, when requested) and splices the report
+/// in as the last field; `timeout` and `overloaded` carry the trace id.
+fn render(
+    state: &ServerState,
+    id: &Option<Value>,
+    trace: bool,
+    record: &CheckRecord,
+    total_ns: u64,
+    answer: Answer,
+) -> String {
+    let status = answer.status();
+    let message = match answer {
+        Answer::Ok { report, findings } => {
+            let cached = record.cache == Some("hit");
+            let timing = Value::Map(vec![
+                ("queue_ns".to_owned(), Value::UInt(record.queue_ns())),
+                ("analysis_ns".to_owned(), Value::UInt(record.analysis_ns())),
+                ("total_ns".to_owned(), Value::UInt(total_ns)),
+                (
+                    "cache".to_owned(),
+                    Value::Str(if cached { "hit" } else { "miss" }.to_owned()),
+                ),
+            ]);
+            let mut b = ResponseBuilder::new(id, status)
+                .field("trace_id", Value::UInt(record.trace_id))
+                .field("cached", Value::Bool(cached))
+                .field("findings", Value::UInt(findings))
+                .field("timing", timing);
+            if trace {
+                let mut entries = Vec::with_capacity(3);
+                if !cached {
+                    entries.push(("parse_ns".to_owned(), Value::UInt(record.stage_ns("parse"))));
+                    entries.push(("check_ns".to_owned(), Value::UInt(record.stage_ns("check"))));
+                }
+                entries.push(("total_ns".to_owned(), Value::UInt(total_ns)));
+                b = b.field("trace", Value::Map(entries));
+            }
+            return b.finish_with_raw("report", &report);
+        }
+        Answer::Error(message) => return error_response(id, &message),
+        Answer::Panicked => return error_response(id, "internal error: the analysis panicked"),
+        Answer::Timeout => format!(
+            "deadline of {} ms exceeded; the analysis keeps running but its result is discarded",
+            state.config.timeout_ms.unwrap_or(0)
+        ),
+        Answer::Overloaded => format!(
+            "queue full ({} pending analyses); retry later",
+            state.config.queue_depth
+        ),
+    };
+    ResponseBuilder::new(id, status)
+        .field("trace_id", Value::UInt(record.trace_id))
+        .field("error", Value::Str(message))
+        .finish()
 }
 
 /// The `error` answer for a line that never became a check (unparsable,
@@ -1746,23 +1744,24 @@ fn line_error(state: &ServerState, id: &Option<Value>, message: &str) -> String 
 /// An admitted check that is with the worker pool and not yet answered.
 struct PendingCheck {
     id: Option<Value>,
-    admission: Admission,
+    record: CheckRecord,
     deadline: Option<Instant>,
+    /// The request asked for the `trace` object.
+    trace: bool,
 }
 
 impl PendingCheck {
     /// Closes the check out with its worker's completion, or as `timeout`
     /// when the deadline came first (`None`); returns the response to send.
-    fn settle(self, state: &ServerState, conn: u64, done: Option<Completion>) -> String {
-        let (response, outcome) = match done {
-            Some(done) => (done.response, done.outcome),
-            None => (
-                timeout_response(&self.id, self.admission.trace_id, state),
-                RequestOutcome::inline(Status::Timeout),
-            ),
+    fn settle(mut self, state: &ServerState, conn: u64, done: Option<Completion>) -> String {
+        let answer = match done {
+            Some(done) => {
+                self.record.stages = done.stages;
+                done.answer
+            }
+            None => Answer::Timeout,
         };
-        settle_check(state, &self.admission, conn, outcome);
-        response
+        settle_check(state, conn, &self.id, self.trace, self.record, answer)
     }
 }
 
@@ -1779,82 +1778,67 @@ fn start_check(
     conn: u64,
     respond: &Responder,
 ) -> Dispatch {
-    let admission = admit_check(state);
-    let Admission { trace_id, started } = admission;
-    let answer = |response: String, outcome| {
-        settle_check(state, &admission, conn, outcome);
-        Dispatch::Answer(response)
+    let mut record = admit_check(state);
+    let trace_id = record.trace_id;
+    let answer = |record, answer| {
+        Dispatch::Answer(settle_check(state, conn, &id, check.trace, record, answer))
     };
-    let fail = |msg: String| {
-        answer(
-            error_response(&id, &msg),
-            RequestOutcome::inline(Status::Error),
-        )
-    };
+    let fail = |record, msg| answer(record, Answer::Error(msg));
 
     let program_text = match &check.source {
         ProgramSource::Text(text) => text.clone(),
         ProgramSource::Path(path) => match std::fs::read_to_string(path) {
             Ok(text) => text,
-            Err(e) => return fail(format!("{path}: {e}")),
+            Err(e) => return fail(record, format!("{path}: {e}")),
         },
         ProgramSource::Manifest { path, entry } => match state.load_manifest(path) {
             Ok(m) => match m.find_program(entry) {
                 Some(unit) => unit.program.clone(),
-                None => return fail(format!("{path}: no lowered program for entry `{entry}`")),
+                None => {
+                    return fail(
+                        record,
+                        format!("{path}: no lowered program for entry `{entry}`"),
+                    )
+                }
             },
-            Err(e) => return fail(e),
+            Err(e) => return fail(record, e),
         },
     };
     let suite = match check.detectors.as_deref() {
         Some(names) => DetectorSuite::with_only(names),
         None => Ok(DetectorSuite::new()),
     };
-    let detectors: Vec<String> = match suite {
+    record.detectors = match suite {
         Ok(suite) => suite
             .detector_names()
             .into_iter()
             .map(String::from)
             .collect(),
-        Err(e) => return fail(e),
+        Err(e) => return fail(record, e),
     };
 
-    let key = ResultCache::key(&program_text, &detectors, check.naive);
+    let key = ResultCache::key(&program_text, &record.detectors, check.naive);
     // A corrupt cache entry is a miss, and the recompute overwrites it.
-    if let Some(report) = state.cache.get(key) {
+    if let Some((report, findings)) = state.cache.get(key) {
         rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache hit"));
-        return answer(
-            ok_response(
-                &id,
-                trace_id,
-                Timing {
-                    queue_ns: 0,
-                    analysis_ns: 0,
-                    total_ns: started.elapsed().as_nanos() as u64,
-                    cached: true,
-                },
-                check.trace.then(|| trace_value(started, None)),
-                report,
-            ),
-            RequestOutcome::cache_hit(detectors),
-        );
+        record.cache = Some("hit");
+        return answer(record, Answer::Ok { report, findings });
     }
     rstudy_telemetry::trace(|| format!("serve: request {trace_id} cache miss"));
+    record.cache = Some("miss");
 
     let deadline = state
         .config
         .timeout_ms
-        .map(|ms| started + Duration::from_millis(ms));
+        .map(|ms| record.admitted + Duration::from_millis(ms));
     let job = Job {
-        id: id.clone(),
         trace_id,
         program_text,
-        detectors,
+        detectors: record.detectors.clone(),
         naive: check.naive,
-        trace: check.trace,
         delay_ms: check.delay_ms,
         key,
-        accepted_at: started,
+        admitted: record.admitted,
         enqueued_at: Instant::now(),
         deadline,
         respond: respond.clone(),
@@ -1867,114 +1851,17 @@ fn start_check(
             });
             Dispatch::Queued(PendingCheck {
                 id,
-                admission,
+                record,
                 deadline,
+                trace: check.trace,
             })
         }
         Err(PushError::Full) => {
             rstudy_telemetry::trace(|| format!("serve: request {trace_id} shed (queue full)"));
-            answer(
-                degraded_response_traced(
-                    &id,
-                    trace_id,
-                    Status::Overloaded,
-                    &format!(
-                        "queue full ({} pending analyses); retry later",
-                        state.config.queue_depth
-                    ),
-                ),
-                RequestOutcome::inline(Status::Overloaded),
-            )
+            answer(record, Answer::Overloaded)
         }
-        Err(PushError::Closed) => fail("server is shutting down".to_owned()),
+        Err(PushError::Closed) => fail(record, "server is shutting down".to_owned()),
     }
-}
-
-fn timeout_response(id: &Option<Value>, trace_id: u64, state: &ServerState) -> String {
-    degraded_response_traced(
-        id,
-        trace_id,
-        Status::Timeout,
-        &format!(
-            "deadline of {} ms exceeded; the analysis keeps running but its result is discarded",
-            state.config.timeout_ms.unwrap_or(0)
-        ),
-    )
-}
-
-/// A degraded response that still carries the request's `trace_id`, so shed
-/// and timed-out requests remain correlatable in logs and traces.
-fn degraded_response_traced(
-    id: &Option<Value>,
-    trace_id: u64,
-    status: Status,
-    message: &str,
-) -> String {
-    ResponseBuilder::new(id, status.as_str())
-        .field("trace_id", Value::UInt(trace_id))
-        .field("error", Value::Str(message.to_owned()))
-        .finish()
-}
-
-/// Per-stage timings measured for one request. Embedded in every `ok`
-/// response as the `timing` object — outside `report`, so the cached
-/// report bytes stay deterministic.
-struct Timing {
-    queue_ns: u64,
-    analysis_ns: u64,
-    total_ns: u64,
-    cached: bool,
-}
-
-impl Timing {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("queue_ns".to_owned(), Value::UInt(self.queue_ns)),
-            ("analysis_ns".to_owned(), Value::UInt(self.analysis_ns)),
-            ("total_ns".to_owned(), Value::UInt(self.total_ns)),
-            (
-                "cache".to_owned(),
-                Value::Str(if self.cached { "hit" } else { "miss" }.to_owned()),
-            ),
-        ])
-    }
-}
-
-fn ok_response(
-    id: &Option<Value>,
-    trace_id: u64,
-    timing: Timing,
-    trace: Option<Value>,
-    report: Value,
-) -> String {
-    let findings = report
-        .get("diagnostics")
-        .and_then(|d| d.as_array())
-        .map_or(0, |a| a.len());
-    let mut b = ResponseBuilder::new(id, "ok")
-        .field("trace_id", Value::UInt(trace_id))
-        .field("cached", Value::Bool(timing.cached))
-        .field("findings", Value::UInt(findings as u64))
-        .field("timing", timing.to_value());
-    if let Some(trace) = trace {
-        b = b.field("trace", trace);
-    }
-    b.field("report", report).finish()
-}
-
-/// Per-request timing attached when `trace` is requested. Measured, hence
-/// non-deterministic; kept out of the report (and thus out of the cache).
-fn trace_value(started: Instant, phases: Option<(u64, u64)>) -> Value {
-    let mut entries = Vec::new();
-    if let Some((parse_ns, check_ns)) = phases {
-        entries.push(("parse_ns".to_owned(), Value::UInt(parse_ns)));
-        entries.push(("check_ns".to_owned(), Value::UInt(check_ns)));
-    }
-    entries.push((
-        "total_ns".to_owned(),
-        Value::UInt(started.elapsed().as_nanos() as u64),
-    ));
-    Value::Map(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -1984,38 +1871,30 @@ fn trace_value(started: Instant, phases: Option<(u64, u64)>) -> Value {
 fn worker_loop(state: &ServerState) {
     while let Some(job) = state.queue.pop() {
         let _span = rstudy_telemetry::span("serve.worker");
-        let (response, outcome) = run_job(&job, state);
+        let mut stages = Vec::with_capacity(4);
+        let answer = run_job(&job, state, &mut stages);
         job.respond.deliver(Completion {
             trace_id: job.trace_id,
-            response,
-            outcome,
+            stages,
+            answer,
         });
     }
 }
 
-fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
-    // Flight-recorder stage offsets are nanoseconds from admission, so
-    // queue wait, artificial delay, parse, and analysis line up on one
-    // timeline.
-    let off = |t: Instant| t.saturating_duration_since(job.accepted_at).as_nanos() as u64;
-    let started = Instant::now();
-    let queue_ns = job.enqueued_at.elapsed().as_nanos() as u64;
-    state.queue_ns.record(queue_ns);
-    let mut stages = vec![Stage {
+/// Runs one job, appending each stage it times to `stages`; returns the
+/// answer. Stage offsets are nanoseconds
+/// from admission, so queue wait, artificial delay, parse, and analysis
+/// line up on one timeline.
+fn run_job(job: &Job, state: &ServerState, stages: &mut Vec<Stage>) -> Answer {
+    let off = |t: Instant| t.saturating_duration_since(job.admitted).as_nanos() as u64;
+    let queue = Stage {
         name: "queue",
         start_ns: off(job.enqueued_at),
-        end_ns: off(started),
-    }];
-    let outcome =
-        |status: Status, cache, analysis_ns, panicked, stages: Vec<Stage>| RequestOutcome {
-            status,
-            cache,
-            queue_ns,
-            analysis_ns,
-            detectors: job.detectors.clone(),
-            stages,
-            panicked,
-        };
+        end_ns: off(Instant::now()),
+    };
+    let queue_ns = queue.end_ns - queue.start_ns;
+    state.queue_ns.record(queue_ns);
+    stages.push(queue);
     let _req_span = rstudy_telemetry::span("serve.request");
     rstudy_telemetry::trace(|| {
         format!(
@@ -2037,13 +1916,8 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     // Whichever `timeout` answer reaches the front end first is the one
     // settled and counted.
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
-        return (
-            timeout_response(&job.id, job.trace_id, state),
-            outcome(Status::Timeout, None, 0, false, stages),
-        );
+        return Answer::Timeout;
     }
-
-    let fail = |msg: String| error_response(&job.id, &msg);
 
     let config = if job.naive {
         DetectorConfig::naive()
@@ -2052,7 +1926,7 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     };
     let suite = match DetectorSuite::with_only(&job.detectors) {
         Ok(s) => s.with_config(config),
-        Err(e) => return (fail(e), outcome(Status::Error, None, 0, false, stages)),
+        Err(e) => return Answer::Error(e),
     };
     // Parse, validate and the suite share one `catch_unwind`: a panic on
     // any input answers `error` and leaves this worker serving.
@@ -2070,8 +1944,6 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     }));
     let t_end = Instant::now();
     let parse_end = t_check.unwrap_or(t_end);
-    let parse_ns = (parse_end - t_parse).as_nanos() as u64;
-    let check_ns = (t_end - parse_end).as_nanos() as u64;
     stages.push(Stage {
         name: "parse",
         start_ns: off(t_parse),
@@ -2086,41 +1958,18 @@ fn run_job(job: &Job, state: &ServerState) -> (String, RequestOutcome) {
     }
     let (report, timings) = match analyzed {
         Ok(Ok(r)) => r,
-        Ok(Err(msg)) => return (fail(msg), outcome(Status::Error, None, 0, false, stages)),
-        Err(_) => {
-            return (
-                fail("internal error: the analysis panicked".to_owned()),
-                outcome(Status::Error, None, parse_ns, true, stages),
-            )
-        }
+        Ok(Err(msg)) => return Answer::Error(msg),
+        Err(_) => return Answer::Panicked,
     };
-    let analysis_ns = parse_ns + check_ns;
-    state.analysis_ns.record(analysis_ns);
+    state.analysis_ns.record(off(t_end) - off(t_parse));
     for t in &timings {
         state.detectors.record(t.name, t.wall_ns, t.findings);
     }
 
-    let report_value = report.to_value();
-    let report_json =
-        serde_json::to_string(&report_value).expect("report serialization cannot fail");
-    let _ = state.cache.put(job.key, &report_json);
-
-    (
-        ok_response(
-            &job.id,
-            job.trace_id,
-            Timing {
-                queue_ns,
-                analysis_ns,
-                total_ns: job.accepted_at.elapsed().as_nanos() as u64,
-                cached: false,
-            },
-            job.trace
-                .then(|| trace_value(started, Some((parse_ns, check_ns)))),
-            report_value,
-        ),
-        outcome(Status::Ok, Some("miss"), analysis_ns, false, stages),
-    )
+    let findings = report.len() as u64;
+    let report = serde_json::to_string(&report).expect("report serialization cannot fail");
+    let _ = state.cache.put(job.key, &report, findings);
+    Answer::Ok { report, findings }
 }
 
 #[cfg(test)]

@@ -142,16 +142,6 @@ pub fn declare_histogram(name: &str) {
     }
 }
 
-/// Registers the named counter at zero so it appears in snapshots even
-/// when no event is ever counted (the service layer declares its request
-/// and cache counters up front so idle servers export a complete schema).
-#[inline]
-pub fn declare_counter(name: &str) {
-    if enabled() {
-        registry::declare_counter(name);
-    }
-}
-
 /// Appends a trace event; `build` runs only when tracing is on.
 #[inline]
 pub fn trace<F: FnOnce() -> String>(build: F) {
@@ -426,17 +416,6 @@ mod tests {
         declare_histogram("declared.but.empty");
         let h = snapshot().histograms["declared.but.empty"].clone();
         assert_eq!((h.count, h.min, h.max), (1, 9, 9));
-    }
-
-    #[test]
-    fn declared_counter_appears_at_zero_and_keeps_counting() {
-        let _lock = fresh();
-        declare_counter("serve.requests");
-        assert_eq!(snapshot().counters["serve.requests"], 0);
-        counter("serve.requests", 3);
-        // Re-declaring never clobbers an accumulated value.
-        declare_counter("serve.requests");
-        assert_eq!(snapshot().counters["serve.requests"], 3);
     }
 
     #[test]

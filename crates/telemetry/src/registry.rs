@@ -350,14 +350,6 @@ pub(crate) fn declare_histogram(name: &str) {
     reg.histograms.entry(name.to_owned()).or_default();
 }
 
-/// Registers a zero-valued counter so it shows up in snapshots even if
-/// nothing is ever counted (long-running services want their idle counters
-/// visible, not absent).
-pub(crate) fn declare_counter(name: &str) {
-    let mut reg = lock();
-    reg.counters.entry(name.to_owned()).or_insert(0);
-}
-
 pub(crate) fn add_counter(name: &str, delta: u64) {
     let mut reg = lock();
     match reg.counters.get_mut(name) {

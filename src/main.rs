@@ -626,18 +626,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let outcome = Interpreter::new(&program).with_config(config).run();
     println!("steps: {}", outcome.steps);
     if config.trace_tail > 0 {
-        // The interpreter records every scheduled step into the telemetry
-        // event log; print the last `trace_tail` of them.
-        let snap = rstudy_telemetry::snapshot();
-        let tail: Vec<_> = snap
-            .events
-            .iter()
-            .filter(|e| e.message.starts_with("interp:"))
-            .collect();
-        let skip = tail.len().saturating_sub(config.trace_tail);
-        println!("trace (last {} steps):", tail.len() - skip);
-        for e in &tail[skip..] {
-            println!("  {}", e.message);
+        println!("trace (last {} steps):", outcome.trace.len());
+        for step in &outcome.trace {
+            println!("  interp: {step}");
         }
     }
     for r in &outcome.races {

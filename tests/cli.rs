@@ -184,6 +184,67 @@ fn run_with_trace_prints_the_step_tail() {
     assert!(stdout.contains("main::bb0[0]"), "{stdout}");
 }
 
+/// `use_after_free.mir` behind a 40,000-iteration counting loop: 160,012
+/// steps, more than the telemetry event log keeps. The printed tail must
+/// still be the run's last steps, ending at the faulting read in `bb4`.
+#[test]
+fn run_trace_tail_ends_at_the_fault_on_long_runs() {
+    const PROGRAM: &str = "\
+fn main() -> int {
+    let _1 as bio: BioSlice;
+    let _2 as p: *const BioSlice;
+    let _3 as i: int;
+    let _4 as more: bool;
+
+    bb0: {
+        StorageLive(_3);
+        StorageLive(_4);
+        _3 = const 0;
+        goto -> bb1;
+    }
+
+    bb1: {
+        _4 = _3 < const 40000;
+        switchInt(_4) -> [0: bb3, otherwise: bb2];
+    }
+
+    bb2: {
+        _3 = _3 + const 1;
+        goto -> bb1;
+    }
+
+    bb3: {
+        StorageLive(_1);
+        _1 = const 7;
+        StorageLive(_2);
+        _2 = &raw const _1;
+        drop(_1) -> bb4;
+    }
+
+    bb4: {
+        unsafe _0 = (*_2);
+        return;
+    }
+}
+";
+    let path = std::env::temp_dir().join(format!("rstudy-long-trace-{}.mir", std::process::id()));
+    std::fs::write(&path, PROGRAM).unwrap();
+    let out = bin()
+        .args(["run", path.to_str().unwrap(), "--trace"])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("steps: 160012"), "{stdout}");
+    assert!(stdout.contains("trace (last 32 steps):"), "{stdout}");
+    let steps: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("  interp: "))
+        .collect();
+    assert_eq!(steps.len(), 32, "{stdout}");
+    assert_eq!(steps.last(), Some(&"t0 main::bb4[0]"), "{stdout}");
+}
+
 #[test]
 fn metrics_json_without_a_value_is_a_usage_error() {
     let out = bin()

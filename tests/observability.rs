@@ -317,23 +317,45 @@ fn healthz_flips_to_draining_during_drain() {
     join.join().unwrap();
 }
 
+/// One record per check: every surface reports the same `total_ns` for a
+/// check, and the access log keeps what the front end resolved (cache
+/// disposition, detector set) also when the answer is an error or a
+/// front-end `timeout`.
 #[test]
 fn access_log_schema_and_sampling() {
     let dir = scratch_dir("access-log");
     let log = dir.join("access.ndjson");
     let (addr, _maddr, handle, join) = boot_obs(ServeConfig {
         access_log: Some(log.clone()),
+        timeout_ms: Some(200),
         ..ServeConfig::default()
     });
     let mut client = Client::connect(addr);
+    let mut answers = Vec::new();
     for i in 0..3 {
-        client.round_trip(&check_request(
+        let trace = if i == 0 { r#","trace":true"# } else { "" };
+        answers.push(client.round_trip(&check_request(
             &format!("r{i}"),
             &clean_program(200 + i),
-            "",
-        ));
+            trace,
+        )));
     }
-    client.round_trip(&check_request("warm", &clean_program(200), ""));
+    answers.push(client.round_trip(&check_request(
+        "warm",
+        &clean_program(200),
+        r#","trace":true"#,
+    )));
+    let parse_error = client.round_trip(&check_request("bad", "fn main( {", ""));
+    assert_eq!(status(&parse_error), "error", "{parse_error:?}");
+    // The deadline passes while the worker still sleeps: the front end
+    // answers `timeout` after the lookup and the queueing.
+    let timed_out = client.round_trip(&check_request(
+        "slow",
+        &clean_program(203),
+        r#","detectors":["double-lock"],"delay_ms":800"#,
+    ));
+    assert_eq!(status(&timed_out), "timeout", "{timed_out:?}");
+    let incidents = client.round_trip(r#"{"cmd":"incidents","id":"dump"}"#);
     handle.begin_shutdown();
     drop(client);
     join.join().unwrap();
@@ -343,7 +365,11 @@ fn access_log_schema_and_sampling() {
         .lines()
         .map(|l| serde_json::from_str(l).unwrap_or_else(|e| panic!("bad log line {l:?}: {e}")))
         .collect();
-    assert_eq!(lines.len(), 4, "one line per completed request");
+    assert_eq!(lines.len(), 6, "one line per completed request");
+    let by_trace_id: BTreeMap<u64, &Value> = lines
+        .iter()
+        .map(|l| (l.get("trace_id").and_then(Value::as_u64).unwrap(), l))
+        .collect();
     let mut caches = Vec::new();
     for line in &lines {
         for key in [
@@ -361,7 +387,6 @@ fn access_log_schema_and_sampling() {
             assert!(line.get(key).is_some(), "line missing `{key}`: {line:?}");
         }
         assert_eq!(line.get("cmd").and_then(Value::as_str), Some("check"));
-        assert_eq!(line.get("status").and_then(Value::as_str), Some("ok"));
         assert!(line.get("total_ns").and_then(Value::as_u64).unwrap() > 0);
         caches.push(match line.get("cache") {
             Some(Value::Str(s)) => s.clone(),
@@ -369,7 +394,79 @@ fn access_log_schema_and_sampling() {
         });
     }
     assert_eq!(caches.iter().filter(|c| *c == "hit").count(), 1);
-    assert_eq!(caches.iter().filter(|c| *c == "miss").count(), 3);
+    assert_eq!(caches.iter().filter(|c| *c == "miss").count(), 5);
+
+    let u64_at = |v: &Value, path: &[&str]| {
+        let mut v = v;
+        for key in path {
+            v = v.get(key).unwrap_or_else(|| panic!("no `{key}` in {v:?}"));
+        }
+        v.as_u64().unwrap()
+    };
+    let line_of = |answer: &Value| by_trace_id[&u64_at(answer, &["trace_id"])];
+    for (i, answer) in answers.iter().enumerate() {
+        assert_eq!(status(answer), "ok", "{answer:?}");
+        let line = line_of(answer);
+        assert_eq!(
+            line.get("status").and_then(Value::as_str),
+            Some("ok"),
+            "{line:?}"
+        );
+        let cache = if i == 3 { "hit" } else { "miss" };
+        assert_eq!(
+            line.get("cache").and_then(Value::as_str),
+            Some(cache),
+            "{line:?}"
+        );
+        let logged = u64_at(line, &["total_ns"]);
+        assert_eq!(
+            logged,
+            u64_at(answer, &["timing", "total_ns"]),
+            "{answer:?}"
+        );
+        if i == 0 || i == 3 {
+            assert_eq!(logged, u64_at(answer, &["trace", "total_ns"]), "{answer:?}");
+        }
+    }
+
+    let line = line_of(&timed_out);
+    assert_eq!(line.get("status").and_then(Value::as_str), Some("timeout"));
+    assert_eq!(line.get("cache").and_then(Value::as_str), Some("miss"));
+    let detectors: Vec<&str> = line
+        .get("detectors")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter_map(Value::as_str)
+        .collect();
+    assert_eq!(detectors, ["double-lock"], "{line:?}");
+    // The incident's outer span is the check's whole latency, in µs.
+    let label = format!("request #{}: timeout", u64_at(&timed_out, &["trace_id"]));
+    let outer: Vec<u64> = incidents
+        .get("trace")
+        .and_then(Value::as_array)
+        .expect("trace events")
+        .iter()
+        .filter(|e| {
+            e.get("name")
+                .and_then(Value::as_str)
+                .is_some_and(|n| n.starts_with(&label))
+        })
+        .map(|e| u64_at(e, &["ts"]))
+        .collect();
+    assert_eq!(
+        outer.len(),
+        2,
+        "one B/E pair for the timeout: {incidents:?}"
+    );
+    assert_eq!(u64_at(line, &["total_ns"]) / 1_000, outer[1] - outer[0]);
+
+    let errors: Vec<&Value> = lines
+        .iter()
+        .filter(|l| l.get("status").and_then(Value::as_str) == Some("error"))
+        .collect();
+    assert_eq!(errors.len(), 1, "{lines:?}");
+    assert_eq!(errors[0].get("cache").and_then(Value::as_str), Some("miss"));
 
     // Sampling keeps every Nth request: 9 requests at 1-in-3 -> 3 lines.
     let sampled = dir.join("sampled.ndjson");
@@ -402,7 +499,7 @@ fn slow_requests_promote_into_incident_buffer() {
         ..ServeConfig::default()
     });
     let mut client = Client::connect(addr);
-    // Fast request: recorded in the ring but not promoted.
+    // Fast request: not promoted.
     client.round_trip(&check_request("fast", &clean_program(400), ""));
     // 120 ms of injected delay against a 50 ms threshold: an incident.
     let resp = client.round_trip(&check_request(
@@ -420,7 +517,6 @@ fn slow_requests_promote_into_incident_buffer() {
         "the slow request must be promoted: {incidents:?}"
     );
     assert!(incidents.get("promoted").and_then(Value::as_u64).unwrap() >= 1);
-    assert!(incidents.get("ring").and_then(Value::as_u64).unwrap() >= 2);
 
     // The dump is a Chrome trace: balanced B/E events, the outer span
     // labeled with the request and its promotion reason.
