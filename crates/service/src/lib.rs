@@ -44,14 +44,12 @@
 pub mod cache;
 #[cfg(target_os = "linux")]
 pub mod event;
-pub mod loadgen;
 pub(crate) mod obs;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
-pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use protocol::{CheckRequest, Command, ProgramSource, Request, RequestError};
 pub use queue::{JobQueue, PushError};
 pub use server::{install_sigint_handler, serve_stream, ServeConfig, Server, ServerHandle};

@@ -602,7 +602,12 @@ mod epoll_loop {
         /// Reads into `inbuf`, `chunk.len()` bytes at a time, until the
         /// socket would block, a read fails (the connection dies), or
         /// `full(inbuf)` holds. Returns whether the peer finished sending.
-        fn fill(&mut self, inbuf: &mut Vec<u8>, chunk: &mut [u8], full: fn(&[u8]) -> bool) -> bool {
+        fn fill(
+            &mut self,
+            inbuf: &mut Vec<u8>,
+            chunk: &mut [u8],
+            mut full: impl FnMut(&[u8]) -> bool,
+        ) -> bool {
             while !full(inbuf) {
                 match (&self.stream).read(chunk) {
                     Ok(0) => return true,
@@ -681,8 +686,27 @@ mod epoll_loop {
         }
     }
 
-    fn read_ahead_paused(inbuf: &[u8]) -> bool {
-        inbuf.len() > READ_AHEAD_CAP && inbuf.contains(&b'\n')
+    /// Whether reading should pause: past the read-ahead cap with a
+    /// complete line waiting.
+    fn read_ahead_paused(inbuf: &[u8], scanned: &mut usize) -> bool {
+        inbuf.len() > READ_AHEAD_CAP && find_newline(inbuf, scanned).is_some()
+    }
+
+    /// The index of the first newline in `inbuf` at or after `*scanned`,
+    /// the length of the prefix already known to hold none. The prefix
+    /// grows up to the newline, or to the whole buffer, so each byte is
+    /// searched once however many reads its line takes to arrive.
+    fn find_newline(inbuf: &[u8], scanned: &mut usize) -> Option<usize> {
+        match inbuf[*scanned..].iter().position(|&b| b == b'\n') {
+            Some(rel) => {
+                *scanned += rel;
+                Some(*scanned)
+            }
+            None => {
+                *scanned = inbuf.len();
+                None
+            }
+        }
     }
 
     /// One registered NDJSON client connection.
@@ -690,6 +714,8 @@ mod epoll_loop {
         sock: SocketBuf,
         /// Bytes read but not yet consumed as complete request lines.
         inbuf: Vec<u8>,
+        /// Length of the `inbuf` prefix known to hold no newline.
+        scanned: usize,
         /// The single check this connection is waiting on. Requests are
         /// answered strictly in request order, so at most one is in
         /// flight per connection.
@@ -705,6 +731,7 @@ mod epoll_loop {
             Conn {
                 sock: SocketBuf::new(stream, token),
                 inbuf: Vec::new(),
+                scanned: 0,
                 inflight: None,
                 respond,
                 eof: false,
@@ -717,9 +744,10 @@ mod epoll_loop {
             if self.sock.dead || self.eof {
                 return;
             }
-            self.eof = self
-                .sock
-                .fill(&mut self.inbuf, &mut [0u8; 16384], read_ahead_paused);
+            let scanned = &mut self.scanned;
+            self.eof = self.sock.fill(&mut self.inbuf, &mut [0u8; 16384], |inbuf| {
+                read_ahead_paused(inbuf, scanned)
+            });
         }
 
         /// Queues `response` plus its newline framing as one contiguous
@@ -739,11 +767,11 @@ mod epoll_loop {
         /// Readable while the connection may produce the next request. A
         /// connection waiting on a worker wants neither input nor output —
         /// it costs zero wakeups.
-        fn wants_input(&self, state: &ServerState) -> bool {
+        fn wants_input(&mut self, state: &ServerState) -> bool {
             !self.eof
                 && self.inflight.is_none()
                 && !state.is_shutdown()
-                && !read_ahead_paused(&self.inbuf)
+                && !read_ahead_paused(&self.inbuf, &mut self.scanned)
         }
 
         /// Whether the connection can be dropped: nothing in flight and
@@ -1088,8 +1116,8 @@ mod epoll_loop {
                 };
                 process_lines(conn, r);
                 conn.sock.flush();
-                conn.sock
-                    .update_interest(&r.epoll, conn.wants_input(r.state));
+                let wants_input = conn.wants_input(r.state);
+                conn.sock.update_interest(&r.epoll, wants_input);
                 if conn.finished() {
                     // Dropping the stream closes the fd, which removes it
                     // from the epoll set.
@@ -1157,12 +1185,12 @@ mod epoll_loop {
     /// (responses are strictly in request order). Also converts a final
     /// unterminated fragment at EOF into a structured error.
     fn process_lines(conn: &mut Conn, r: &Reactor<'_>) {
+        // `inbuf[consumed..scanned]` holds no newline.
         let mut consumed = 0usize;
         while conn.inflight.is_none() && !conn.sock.dead && !r.state.is_shutdown() {
-            let Some(rel) = conn.inbuf[consumed..].iter().position(|&b| b == b'\n') else {
+            let Some(end) = find_newline(&conn.inbuf, &mut conn.scanned) else {
                 break;
             };
-            let end = consumed + rel;
             // A line that is not UTF-8 cannot be framed as a request at
             // all; the connection is dropped.
             let Ok(line) = std::str::from_utf8(&conn.inbuf[consumed..end]) else {
@@ -1173,6 +1201,7 @@ mod epoll_loop {
             let dispatched =
                 (!line.is_empty()).then(|| dispatch(line, r.state, conn.sock.token, &conn.respond));
             consumed = end + 1;
+            conn.scanned = consumed;
             match dispatched {
                 Some(Dispatch::Answer(response)) => conn.push_response(&response),
                 Some(Dispatch::Queued(pending)) => conn.inflight = Some(pending),
@@ -1181,6 +1210,7 @@ mod epoll_loop {
         }
         if consumed > 0 {
             conn.inbuf.drain(..consumed);
+            conn.scanned -= consumed;
         }
         // EOF with a trailing fragment that never got its newline: the
         // protocol promises every failure mode a structured response, so
@@ -1194,6 +1224,7 @@ mod epoll_loop {
                 ));
             }
             conn.inbuf.clear();
+            conn.scanned = 0;
         }
     }
 }
@@ -1587,9 +1618,8 @@ fn prometheus_exposition(state: &ServerState) -> String {
     out
 }
 
-/// The JSON summary shape shared by `metrics` responses and the loadgen
-/// BENCH files.
-pub(crate) fn histogram_summary(snap: &HistogramSnapshot) -> Value {
+/// The JSON summary of one histogram in a `metrics` response.
+fn histogram_summary(snap: &HistogramSnapshot) -> Value {
     Value::Map(vec![
         ("count".into(), Value::UInt(snap.count)),
         ("min".into(), Value::UInt(snap.min)),

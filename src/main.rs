@@ -56,8 +56,7 @@ fn main() -> ExitCode {
         "check" => cmd_check(&mut args[1..].to_vec()),
         "ingest" => cmd_ingest(&mut args[1..].to_vec()),
         "serve" => cmd_serve(&mut args[1..].to_vec()),
-        "loadgen" => cmd_loadgen(&mut args[1..].to_vec()),
-        "run" => cmd_run(&args[1..]),
+        "run" => cmd_run(&mut args[1..].to_vec()),
         "lint" => cmd_lint(&args[1..]),
         "scan" => cmd_scan(&args[1..]),
         "report" => cmd_report(&args[1..]),
@@ -134,7 +133,6 @@ USAGE:
   rust-safety-study report [--json]              Tables 1-4, Figures 1-2, §4 stats
   rust-safety-study corpus [name]                list / print corpus programs
   rust-safety-study serve [SERVE FLAGS]          long-running analysis service (NDJSON)
-  rust-safety-study loadgen [LOADGEN FLAGS]      replay corpus programs against a server
 
 CHECK FLAGS:
   --jobs <N>            programs `check --manifest` analyzes at once
@@ -161,14 +159,6 @@ INGEST FLAGS:
   --name <name>         corpus name (default: the root directory's name)
   --json                print the full manifest instead of the summary + diff
 
-LOADGEN FLAGS:
-  --requests <N>        total requests to send (default 100)
-  --connections <N>     concurrent client connections; each sends its next
-                        request when the previous answer lands (default 4)
-  --addr <host:port>    target server (default: boot one in-process)
-  --mix <a,b,...>       corpus program names to cycle through
-  --out <path>          latency/throughput report (default BENCH_serve.json)
-
 GLOBAL FLAGS:
   --profile             print the telemetry span/counter tree after the command
   --metrics-json <path> write the full telemetry registry as JSON
@@ -184,11 +174,10 @@ fn load(path: &str) -> Result<Program, String> {
 }
 
 fn cmd_check(args: &mut Vec<String>) -> ExitCode {
-    let config = if args.iter().any(|a| a == "--naive") {
-        DetectorConfig::naive()
-    } else {
-        DetectorConfig::new()
-    };
+    let naive = take_flag(args, "--naive");
+    let json = take_flag(args, "--json");
+    // `main` already turned tracing on for `--trace`.
+    take_flag(args, "--trace");
     let parsed = (|| {
         let jobs = match take_value(args, "--jobs")? {
             None => 0,
@@ -197,7 +186,14 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
                 _ => return Err(format!("--jobs: expected a positive integer, got `{s}`")),
             },
         };
-        Ok((jobs, take_value(args, "--manifest")?))
+        let manifest = take_value(args, "--manifest")?;
+        // What is left is `<file.mir>` alone, or nothing with --manifest.
+        let positionals = usize::from(manifest.is_none());
+        let unknown = args.iter().find(|a| a.starts_with("--"));
+        if let Some(stray) = unknown.or(args.get(positionals)) {
+            return Err(format!("check: unexpected argument `{stray}`"));
+        }
+        Ok((jobs, manifest))
     })();
     let (jobs, manifest) = match parsed {
         Ok(p) => p,
@@ -206,11 +202,15 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let config = if naive {
+        DetectorConfig::naive()
+    } else {
+        DetectorConfig::new()
+    };
     if let Some(mpath) = manifest {
-        let json = args.iter().any(|a| a == "--json");
         return check_manifest(&mpath, config, jobs, json);
     }
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
+    let Some(path) = args.first() else {
         eprintln!("check: missing <file.mir>");
         return ExitCode::from(2);
     };
@@ -224,7 +224,7 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
     let report = DetectorSuite::new()
         .with_config(config)
         .check_program(&program);
-    if args.iter().any(|a| a == "--json") {
+    if json {
         // The one-line machine-readable form — the same bytes the analysis
         // service embeds under `"report"` for the same program.
         let json = serde_json::to_string(&report).expect("report serialization cannot fail");
@@ -510,73 +510,6 @@ fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
     }
 }
 
-/// Parses and runs the `loadgen` subcommand: replay corpus programs
-/// against a server and write the `BENCH_serve.json` baseline. Exits
-/// non-zero if any request failed, so CI can assert on the exit code alone.
-fn cmd_loadgen(args: &mut Vec<String>) -> ExitCode {
-    use rust_safety_study::serve::loadgen::{run, LoadgenConfig};
-
-    let parsed = (|| {
-        let mut config = LoadgenConfig::default();
-        if let Some(s) = take_value(args, "--requests")? {
-            config.requests = s
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| format!("--requests: expected a positive integer, got `{s}`"))?;
-        }
-        if let Some(s) = take_value(args, "--connections")? {
-            config.connections =
-                s.parse::<usize>().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                    format!("--connections: expected a positive integer, got `{s}`")
-                })?;
-        }
-        if let Some(s) = take_value(args, "--addr")? {
-            config.addr = Some(
-                s.parse()
-                    .map_err(|_| format!("--addr: expected host:port, got `{s}`"))?,
-            );
-        }
-        if let Some(s) = take_value(args, "--mix")? {
-            config.mix = s.split(',').map(|m| m.trim().to_owned()).collect();
-        }
-        let out = take_value(args, "--out")?.unwrap_or_else(|| "BENCH_serve.json".to_owned());
-        if let Some(stray) = args.first() {
-            return Err(format!("loadgen: unexpected argument `{stray}`"));
-        }
-        Ok((config, out))
-    })();
-    let (config, out) = match parsed {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match run(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    let json =
-        serde_json::to_string_pretty(&report.to_value()).expect("report serialization cannot fail");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("loadgen: {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-
-    if report.errors > 0 {
-        eprintln!("loadgen: {} request(s) failed", report.errors);
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
 /// Prints the telemetry trace event log (used by `check --trace`).
 fn print_trace_events() {
     if !rstudy_telemetry::tracing() {
@@ -591,32 +524,44 @@ fn print_trace_events() {
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("run: missing <file.mir>");
-        return ExitCode::from(2);
-    };
-    let mut config = InterpreterConfig::default();
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
-                config.policy = SchedulePolicy::Random(seed);
-            }
-            "--max-steps" => {
-                config.max_steps = it.next().and_then(|s| s.parse().ok()).unwrap_or(1_000_000);
-            }
-            "--trace" => {
-                config.trace_tail = 32;
-            }
-            other => {
-                eprintln!("run: unknown flag `{other}`");
-                return ExitCode::from(2);
-            }
+fn cmd_run(args: &mut Vec<String>) -> ExitCode {
+    fn integer(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
+        match take_value(args, name)? {
+            None => Ok(None),
+            Some(s) => s
+                .parse::<u64>()
+                .map(Some)
+                .map_err(|_| format!("{name}: expected a non-negative integer, got `{s}`")),
         }
     }
-    let program = match load(path) {
+
+    let mut config = InterpreterConfig::default();
+    if take_flag(args, "--trace") {
+        config.trace_tail = 32;
+    }
+    let parsed = (|| {
+        if let Some(seed) = integer(args, "--seed")? {
+            config.policy = SchedulePolicy::Random(seed);
+        }
+        if let Some(max_steps) = integer(args, "--max-steps")? {
+            config.max_steps = max_steps;
+        }
+        let unknown = args.iter().find(|a| a.starts_with("--"));
+        if let Some(stray) = unknown.or(args.get(1)) {
+            return Err(format!("run: unexpected argument `{stray}`"));
+        }
+        args.first()
+            .cloned()
+            .ok_or_else(|| "run: missing <file.mir>".to_owned())
+    })();
+    let path = match parsed {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let program = match load(&path) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");

@@ -359,6 +359,33 @@ fn invalid_jobs_values_are_usage_errors() {
 }
 
 #[test]
+fn invalid_run_and_check_arguments_are_usage_errors() {
+    let uaf = &mir_path("use_after_free.mir")[..];
+    // Each row: the arguments, and what the error line (printed before
+    // the usage text) must name.
+    for (args, names) in [
+        (&["run", uaf, "--seed", "abc"][..], "--seed"),
+        (&["run", uaf, "--seed"][..], "--seed: missing value"),
+        (&["run", uaf, "--max-steps", "lots"][..], "--max-steps"),
+        (
+            &["run", uaf, "--max-steps"][..],
+            "--max-steps: missing value",
+        ),
+        // A typo of `--naive` must not run the precise analysis instead.
+        (&["check", uaf, "--nave"][..], "--nave"),
+        (&["check", uaf, "extra.mir"][..], "extra.mir"),
+        // Arguments are rejected before the manifest is read.
+        (&["check", "--manifest", "manifest.json", uaf][..], uaf),
+    ] {
+        let out = bin().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(error.contains(names), "{args:?}: {error}");
+    }
+}
+
+#[test]
 fn check_json_is_deterministic_and_machine_readable() {
     let run = || {
         bin()
@@ -494,59 +521,6 @@ fn serve_stdin_flushes_metrics_json_on_graceful_shutdown() {
         .unwrap_or_else(|| panic!("no serve.check span: {json}"));
     assert_eq!(check.count, 1, "{json}");
     assert_eq!(snap.histograms["serve.queue_depth"].count, 1, "{json}");
-}
-
-#[test]
-fn loadgen_flag_validation_is_a_usage_error() {
-    for args in [
-        &["loadgen", "--requests", "0"][..],
-        // Removed flags are stray arguments.
-        &["loadgen", "--rate", "fast"][..],
-        &["loadgen", "--scrape"][..],
-        &["loadgen", "--manifest", "x"][..],
-        &["loadgen", "--connections", "0"][..],
-        &["loadgen", "--addr", "not-an-addr"][..],
-        &["loadgen", "stray-arg"][..],
-        // `--transport` is not an option: a stray argument.
-        &["loadgen", "--transport", "poll"][..],
-    ] {
-        let out = bin().args(args).output().expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-    }
-}
-
-#[test]
-fn loadgen_writes_bench_serve_json_and_succeeds() {
-    use serde::Value;
-    let out_path =
-        std::env::temp_dir().join(format!("rstudy-bench-serve-{}.json", std::process::id()));
-    let out = bin()
-        .args([
-            "loadgen",
-            "--requests",
-            "6",
-            "--connections",
-            "2",
-            "--mix",
-            "uaf_fig7_drop,uaf_fixed",
-            "--out",
-            out_path.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("p50"), "{stdout}");
-    let json = std::fs::read_to_string(&out_path).expect("BENCH_serve.json written");
-    std::fs::remove_file(&out_path).ok();
-    let parsed: Value = serde_json::from_str(&json).expect("valid JSON");
-    assert_eq!(parsed.get("requests").and_then(Value::as_u64), Some(6));
-    assert_eq!(parsed.get("errors").and_then(Value::as_u64), Some(0));
 }
 
 #[test]

@@ -387,6 +387,11 @@ fn malformed_and_invalid_requests_get_error_responses() {
     let mut client = Client::connect(addr);
     let garbage = client.round_trip("this is not json");
     assert_eq!(status(&garbage), "error", "{garbage:?}");
+    assert_eq!(
+        garbage.get("error").and_then(Value::as_str),
+        Some("malformed request: unexpected character `t` at byte 0"),
+        "{garbage:?}"
+    );
 
     let no_source = client.round_trip(r#"{"id":"n"}"#);
     assert_eq!(status(&no_source), "error", "{no_source:?}");
@@ -727,57 +732,6 @@ fn metrics_command_reports_latency_quantiles_and_cache_ratio() {
     assert_eq!(analysis.get("count").and_then(Value::as_u64), Some(1));
     handle.begin_shutdown();
     join.join().unwrap();
-}
-
-#[test]
-fn loadgen_smoke_answers_every_request_and_reports_a_valid_bench() {
-    use rust_safety_study::serve::loadgen::{run, LoadgenConfig};
-    let report = run(&LoadgenConfig {
-        requests: 12,
-        connections: 3,
-        ..LoadgenConfig::default()
-    })
-    .expect("in-process loadgen");
-    assert_eq!(report.requests, 12);
-    assert_eq!(report.ok, 12);
-    assert_eq!(report.errors, 0);
-    assert_eq!(
-        report.latency_ns.count, 12,
-        "every request must be measured exactly once"
-    );
-    assert!(
-        report.cache_hits >= 6,
-        "12 requests over a 6-program mix revisit each program"
-    );
-
-    // The BENCH_serve.json payload round-trips through JSON with the
-    // stable schema keys downstream diffing relies on.
-    let json = serde_json::to_string_pretty(&report.to_value()).unwrap();
-    let parsed: Value = serde_json::from_str(&json).expect("valid JSON");
-    assert_eq!(
-        parsed.get("schema").and_then(Value::as_str),
-        Some("rstudy-bench-serve/v1")
-    );
-    for key in [
-        "requests",
-        "ok",
-        "errors",
-        "cache_hits",
-        "statuses",
-        "latency_ns",
-        "queue_ns",
-        "analysis_ns",
-        "duration_ms",
-        "achieved_rps",
-        "mix",
-    ] {
-        assert!(parsed.get(key).is_some(), "BENCH_serve.json missing {key}");
-    }
-    let latency = parsed.get("latency_ns").unwrap();
-    assert_eq!(latency.get("count").and_then(Value::as_u64), Some(12));
-    for q in ["p50", "p90", "p99"] {
-        assert!(latency.get(q).and_then(Value::as_u64).is_some(), "{json}");
-    }
 }
 
 #[test]
