@@ -83,7 +83,18 @@ echo "== serve smoke check =="
 # serve-smoke fixtures at it, assert a cache hit on the repeat request,
 # and verify it drains and exits cleanly on a `shutdown` request.
 SERVE_TMP=$(mktemp -d)
-trap 'rm -rf "$SERVE_TMP"' EXIT
+# A failing step exits before its `shutdown` request: stop every server
+# this script started that is still running, then remove its files.
+cleanup() {
+    local pid
+    for pid in ${SERVE_PID:-} ${OBS_PID:-} ${EQUIV_PID:-}; do
+        if kill "$pid" 2>/dev/null; then
+            wait "$pid" 2>/dev/null || true
+        fi
+    done
+    rm -rf "$SERVE_TMP"
+}
+trap cleanup EXIT
 "$BIN" serve --port 0 --cache-dir "$SERVE_TMP/cache" --workers 2 \
     > "$SERVE_TMP/serve.log" 2>&1 &
 SERVE_PID=$!

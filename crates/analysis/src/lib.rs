@@ -10,8 +10,9 @@
 //!   paper's use-after-free detector consumes), [`heap`] allocation state and
 //!   [`const_prop`],
 //! * [`points_to`] (flow-insensitive Andersen-style, per function, with
-//!   symbolic argument pointees for interprocedural resolution) and
-//!   [`deref`] sites,
+//!   symbolic argument pointees for interprocedural resolution, solved by
+//!   difference propagation so each fact is pushed along each edge once)
+//!   and [`deref`] sites,
 //! * [`callgraph`] over a whole [`rstudy_mir::Program`],
 //! * [`locks`] (lock-guard live ranges, the double-lock detector's input),
 //! * and the [`cache`] that computes each of those facts once per body.

@@ -9,7 +9,7 @@
 //! the lock reference they were created from — which is exactly the lock
 //! identity the double-lock detector needs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
@@ -55,84 +55,66 @@ enum Constraint {
 }
 
 /// Points-to results for one body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PointsTo {
     /// Per-local points-to sets.
     locals: Vec<BTreeSet<MemRoot>>,
-    /// Points-to sets of memory roots (what the memory *contains*),
-    /// for roots that hold pointers.
+    /// Points-to sets of memory roots (what the memory *contains*), for
+    /// roots that hold pointers. A set is created by its first insertion,
+    /// so none is empty.
     cells: BTreeMap<MemRoot, BTreeSet<MemRoot>>,
+    /// Set insertions the solve attempted.
+    work: u64,
 }
+
+/// Compares facts only: two solves that reach the same sets are equal
+/// however much work each took.
+impl PartialEq for PointsTo {
+    fn eq(&self, other: &PointsTo) -> bool {
+        self.locals == other.locals && self.cells == other.cells
+    }
+}
+
+impl Eq for PointsTo {}
 
 impl PointsTo {
     /// Computes points-to sets for `body`.
+    ///
+    /// Solved by difference propagation over the constraint graph: every
+    /// new (node, root) fact is pushed along its node's edges exactly once,
+    /// so the cost is linear in the facts and edges rather than in the
+    /// facts times the number of sweeps a chaotic iteration would need.
     pub fn analyze(body: &Body) -> PointsTo {
         let constraints = collect_constraints(body);
-        let mut pt = PointsTo {
-            locals: vec![BTreeSet::new(); body.locals.len()],
-            cells: BTreeMap::new(),
-        };
+        let mut solver = Solver::new(body.locals.len(), &constraints);
         // Seed pointer-typed arguments with symbolic pointees.
         for arg in body.args() {
             if body.local_decl(arg).ty.is_pointer_like() {
-                pt.locals[arg.index()].insert(MemRoot::ArgPointee(arg));
+                solver.insert(Node::Local(arg), MemRoot::ArgPointee(arg));
             }
         }
-        // Chaotic iteration to fixpoint (constraint set is small per body).
-        let mut changed = true;
-        let mut iterations = 0u64;
-        while changed {
-            changed = false;
-            iterations += 1;
-            for c in &constraints {
-                match c {
-                    Constraint::AddrOf(dst, root) => {
-                        changed |= pt.locals[dst.index()].insert(*root);
-                    }
-                    Constraint::Copy(dst, src) => {
-                        let add: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
-                        for r in add {
-                            changed |= pt.locals[dst.index()].insert(r);
-                        }
-                    }
-                    Constraint::Load(dst, src) => {
-                        let roots: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
-                        for root in roots {
-                            let add: Vec<MemRoot> =
-                                pt.cell_contents(root).iter().copied().collect();
-                            for r in add {
-                                changed |= pt.locals[dst.index()].insert(r);
-                            }
-                        }
-                    }
-                    Constraint::Store(dst, src) => {
-                        let roots: Vec<MemRoot> = pt.locals[dst.index()].iter().copied().collect();
-                        let add: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
-                        for root in roots {
-                            let cell = pt.cells.entry(root).or_default();
-                            for &r in &add {
-                                changed |= cell.insert(r);
-                            }
-                        }
-                    }
-                    Constraint::StoreRoot(dst, root) => {
-                        let targets: Vec<MemRoot> =
-                            pt.locals[dst.index()].iter().copied().collect();
-                        for t in targets {
-                            changed |= pt.cells.entry(t).or_default().insert(*root);
-                        }
-                    }
-                }
+        for c in &constraints {
+            if let Constraint::AddrOf(dst, root) = c {
+                solver.insert(Node::Local(*dst), *root);
             }
         }
+        solver.propagate();
+        let pt = solver.pt;
         if rstudy_telemetry::enabled() {
             rstudy_telemetry::counter("analysis.points-to.solves", 1);
             rstudy_telemetry::counter("analysis.points-to.constraints", constraints.len() as u64);
-            rstudy_telemetry::record("analysis.points-to.iterations", iterations);
+            rstudy_telemetry::record("analysis.points-to.iterations", pt.work);
             let set_sizes: u64 = pt.locals.iter().map(|s| s.len() as u64).sum();
             rstudy_telemetry::record("analysis.points-to.target_sets_total", set_sizes);
         }
         pt
+    }
+
+    /// The set insertions this solve attempted: one per fact, plus one each
+    /// time an edge delivered a root its destination already held. A
+    /// per-call count of the solver's work, for scaling checks.
+    pub fn work(&self) -> u64 {
+        self.work
     }
 
     /// The memory objects `local` may point to.
@@ -154,6 +136,158 @@ impl PointsTo {
         ta.contains(&MemRoot::Unknown)
             || tb.contains(&MemRoot::Unknown)
             || ta.iter().any(|t| tb.contains(t))
+    }
+
+    /// Inserts `root` into `node`'s set, counting the attempt; returns
+    /// whether it is new.
+    fn insert(&mut self, node: Node, root: MemRoot) -> bool {
+        self.work += 1;
+        match node {
+            Node::Local(l) => self.locals[l.index()].insert(root),
+            Node::Cell(c) => self.cells.entry(c).or_default().insert(root),
+        }
+    }
+}
+
+impl Constraint {
+    /// The local whose new targets this constraint acts on; `None` for the
+    /// seeds.
+    fn trigger(&self) -> Option<Local> {
+        match *self {
+            Constraint::AddrOf(..) => None,
+            Constraint::Copy(_, src) | Constraint::Load(_, src) => Some(src),
+            Constraint::Store(ptr, _) | Constraint::StoreRoot(ptr, _) => Some(ptr),
+        }
+    }
+}
+
+/// A node of the constraint graph: a local, or the memory cell of a root
+/// that is loaded from or stored into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Node {
+    Local(Local),
+    Cell(MemRoot),
+}
+
+/// Difference propagation over the constraint graph.
+///
+/// When a local gains a target `r`, each constraint it triggers acts on
+/// `r` alone: a copy inserts `r` into its destination, a load adds the edge
+/// cell(`r`) → destination, a store adds the edge source → cell(`r`), and a
+/// root store inserts its root into cell(`r`). A new edge carries its
+/// source's whole current set once; after that the source's new facts flow
+/// along it as they are propagated. A fact is queued only when it is new,
+/// so cycles need no special handling.
+struct Solver<'c> {
+    constraints: &'c [Constraint],
+    /// `triggered[first[l]..first[l + 1]]` indexes the constraints that
+    /// local `l` triggers.
+    first: Vec<usize>,
+    triggered: Vec<usize>,
+    /// The sets being solved.
+    pt: PointsTo,
+    /// Facts inserted but not yet propagated, oldest first.
+    pending: VecDeque<(Node, MemRoot)>,
+    /// Edges added for loads and stores, as `(from, to)`. Each joins a
+    /// local and a cell.
+    edges: BTreeSet<(Node, Node)>,
+}
+
+impl<'c> Solver<'c> {
+    fn new(locals: usize, constraints: &'c [Constraint]) -> Solver<'c> {
+        // Counting sort of the constraints by the local that triggers them.
+        let mut first = vec![0usize; locals + 2];
+        for l in constraints.iter().filter_map(Constraint::trigger) {
+            first[l.index() + 2] += 1;
+        }
+        for i in 2..first.len() {
+            first[i] += first[i - 1];
+        }
+        let mut triggered = vec![0usize; first[locals + 1]];
+        for (i, c) in constraints.iter().enumerate() {
+            if let Some(l) = c.trigger() {
+                triggered[first[l.index() + 1]] = i;
+                first[l.index() + 1] += 1;
+            }
+        }
+        first.pop();
+        Solver {
+            constraints,
+            first,
+            triggered,
+            pt: PointsTo {
+                locals: vec![BTreeSet::new(); locals],
+                cells: BTreeMap::new(),
+                work: 0,
+            },
+            pending: VecDeque::new(),
+            edges: BTreeSet::new(),
+        }
+    }
+
+    fn insert(&mut self, node: Node, root: MemRoot) {
+        if self.pt.insert(node, root) {
+            self.pending.push_back((node, root));
+        }
+    }
+
+    fn add_edge(&mut self, from: Node, to: Node) {
+        if !self.edges.insert((from, to)) {
+            return;
+        }
+        let pt = &mut self.pt;
+        let (carried, dst) = match (from, to) {
+            (Node::Local(l), Node::Cell(c)) => {
+                let src = &pt.locals[l.index()];
+                if src.is_empty() {
+                    return;
+                }
+                (src, pt.cells.entry(c).or_default())
+            }
+            (Node::Cell(c), Node::Local(l)) => match pt.cells.get(&c) {
+                Some(src) => (src, &mut pt.locals[l.index()]),
+                None => return,
+            },
+            _ => unreachable!("edges join a local and a cell"),
+        };
+        for &root in carried {
+            pt.work += 1;
+            if dst.insert(root) {
+                self.pending.push_back((to, root));
+            }
+        }
+    }
+
+    fn propagate(&mut self) {
+        while let Some((node, root)) = self.pending.pop_front() {
+            if let Node::Local(l) = node {
+                for i in self.first[l.index()]..self.first[l.index() + 1] {
+                    match self.constraints[self.triggered[i]] {
+                        Constraint::Copy(dst, _) => self.insert(Node::Local(dst), root),
+                        Constraint::Load(dst, _) => {
+                            self.add_edge(Node::Cell(root), Node::Local(dst));
+                        }
+                        Constraint::Store(_, src) => {
+                            self.add_edge(Node::Local(src), Node::Cell(root));
+                        }
+                        Constraint::StoreRoot(_, stored) => self.insert(Node::Cell(root), stored),
+                        Constraint::AddrOf(..) => unreachable!("seeds trigger nothing"),
+                    }
+                }
+            }
+            // `Node::Local(Local(0))` is the least node, so this range starts
+            // at `node`'s first added edge.
+            let from_node = (node, Node::Local(Local(0)))..;
+            for &(_, to) in self
+                .edges
+                .range(from_node)
+                .take_while(|(from, _)| *from == node)
+            {
+                if self.pt.insert(to, root) {
+                    self.pending.push_back((to, root));
+                }
+            }
+        }
     }
 }
 
@@ -350,8 +484,213 @@ fn pointerish(body: &Body, local: Local) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Mutability, Operand, Rvalue, Ty};
+    use rstudy_mir::{BinOp, Mutability, Operand, Rvalue, Ty};
+
+    /// The chaotic-iteration solver difference propagation replaced: sweep
+    /// every constraint until a whole pass changes nothing. Kept as the
+    /// fact oracle for [`PointsTo::analyze`].
+    fn reference(body: &Body) -> PointsTo {
+        let constraints = collect_constraints(body);
+        let mut pt = PointsTo {
+            locals: vec![BTreeSet::new(); body.locals.len()],
+            cells: BTreeMap::new(),
+            work: 0,
+        };
+        for arg in body.args() {
+            if body.local_decl(arg).ty.is_pointer_like() {
+                pt.locals[arg.index()].insert(MemRoot::ArgPointee(arg));
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for c in &constraints {
+                match c {
+                    Constraint::AddrOf(dst, root) => {
+                        changed |= pt.locals[dst.index()].insert(*root);
+                    }
+                    Constraint::Copy(dst, src) => {
+                        let add: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
+                        for r in add {
+                            changed |= pt.locals[dst.index()].insert(r);
+                        }
+                    }
+                    Constraint::Load(dst, src) => {
+                        let roots: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
+                        for root in roots {
+                            let add: Vec<MemRoot> =
+                                pt.cell_contents(root).iter().copied().collect();
+                            for r in add {
+                                changed |= pt.locals[dst.index()].insert(r);
+                            }
+                        }
+                    }
+                    Constraint::Store(dst, src) => {
+                        let roots: Vec<MemRoot> = pt.locals[dst.index()].iter().copied().collect();
+                        let add: Vec<MemRoot> = pt.locals[src.index()].iter().copied().collect();
+                        for root in roots {
+                            let cell = pt.cells.entry(root).or_default();
+                            for &r in &add {
+                                changed |= cell.insert(r);
+                            }
+                        }
+                    }
+                    Constraint::StoreRoot(dst, root) => {
+                        let targets: Vec<MemRoot> =
+                            pt.locals[dst.index()].iter().copied().collect();
+                        for t in targets {
+                            changed |= pt.cells.entry(t).or_default().insert(*root);
+                        }
+                    }
+                }
+            }
+        }
+        pt
+    }
+
+    /// One generated statement over local indices (taken modulo the local
+    /// count). Calls end their block.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Ref(usize, usize),
+        RawRef(usize, usize),
+        Copy(usize, usize),
+        Load(usize, usize),
+        Store(usize, usize),
+        StoreRef(usize, usize),
+        PtrRead(usize, usize),
+        PtrWrite(usize, usize),
+        Alloc(usize),
+        Lock(usize, usize),
+        Extern(usize),
+        Offset(usize, usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let pair = || (0usize..64, 0usize..64);
+        prop_oneof![
+            pair().prop_map(|(a, b)| Op::Ref(a, b)),
+            pair().prop_map(|(a, b)| Op::RawRef(a, b)),
+            pair().prop_map(|(a, b)| Op::Copy(a, b)),
+            pair().prop_map(|(a, b)| Op::Load(a, b)),
+            pair().prop_map(|(a, b)| Op::Store(a, b)),
+            pair().prop_map(|(a, b)| Op::StoreRef(a, b)),
+            pair().prop_map(|(a, b)| Op::PtrRead(a, b)),
+            pair().prop_map(|(a, b)| Op::PtrWrite(a, b)),
+            (0usize..64).prop_map(Op::Alloc),
+            pair().prop_map(|(a, b)| Op::Lock(a, b)),
+            (0usize..64).prop_map(Op::Extern),
+            pair().prop_map(|(a, b)| Op::Offset(a, b)),
+        ]
+    }
+
+    /// A body of 1–6 blocks over pointer arguments and about a dozen
+    /// locals of the types the constraints distinguish, with `ops` in the
+    /// given order and a block boundary before each op listed in `cuts`.
+    fn generated_body(args: usize, types: &[usize], ops: &[Op], cuts: &[usize]) -> Body {
+        let tys = [
+            Ty::Int,
+            Ty::const_ptr(Ty::Int),
+            Ty::mut_ptr(Ty::mut_ptr(Ty::Int)),
+            Ty::shared_ref(Ty::Mutex(Box::new(Ty::Int))),
+            Ty::Guard(Box::new(Ty::Int)),
+        ];
+        let mut b = BodyBuilder::new("f", args, Ty::Unit);
+        let mut locals: Vec<Local> = (0..args)
+            .map(|i| b.arg(format!("a{i}"), tys[1 + i % 2].clone()))
+            .collect();
+        locals.extend(
+            types
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| b.local(format!("l{i}"), tys[t % tys.len()].clone())),
+        );
+        let at = |i: usize| locals[i % locals.len()];
+        let deref = |i: usize| Place::from_local(at(i)).deref();
+        let mut blocks = 1;
+        for (i, op) in ops.iter().enumerate() {
+            if blocks < 6 && cuts.contains(&i) {
+                b.goto_cont();
+                blocks += 1;
+            }
+            let is_call = matches!(
+                op,
+                Op::PtrRead(..) | Op::PtrWrite(..) | Op::Alloc(_) | Op::Lock(..) | Op::Extern(_)
+            );
+            if is_call && blocks == 6 {
+                continue;
+            }
+            match *op {
+                Op::Ref(d, x) => b.assign(at(d), Rvalue::Ref(Mutability::Not, at(x).into())),
+                Op::RawRef(d, x) => b.assign(at(d), Rvalue::AddrOf(Mutability::Mut, at(x).into())),
+                Op::Copy(d, s) => b.assign(at(d), Rvalue::Use(Operand::copy(at(s)))),
+                Op::Load(d, p) => b.assign(at(d), Rvalue::Use(Operand::Copy(deref(p)))),
+                Op::Store(p, s) => b.assign_place(deref(p), Rvalue::Use(Operand::copy(at(s)))),
+                Op::StoreRef(p, x) => {
+                    b.assign_place(deref(p), Rvalue::Ref(Mutability::Not, at(x).into()))
+                }
+                Op::Offset(d, p) => b.assign(
+                    at(d),
+                    Rvalue::BinaryOp(BinOp::Offset, Operand::copy(at(p)), Operand::int(1)),
+                ),
+                Op::PtrRead(d, p) => {
+                    b.call_intrinsic_cont(Intrinsic::PtrRead, vec![Operand::copy(at(p))], at(d));
+                }
+                Op::PtrWrite(p, s) => {
+                    let args = vec![Operand::copy(at(p)), Operand::copy(at(s))];
+                    b.call_intrinsic_cont(Intrinsic::PtrWrite, args, Local::RETURN);
+                }
+                Op::Alloc(d) => {
+                    b.call_intrinsic_cont(Intrinsic::Alloc, vec![Operand::int(8)], at(d));
+                }
+                Op::Lock(g, m) => {
+                    b.call_intrinsic_cont(Intrinsic::MutexLock, vec![Operand::copy(at(m))], at(g));
+                }
+                Op::Extern(d) => {
+                    b.call_intrinsic_cont(Intrinsic::ExternCall, vec![], at(d));
+                }
+            }
+            if is_call {
+                blocks += 1;
+            }
+        }
+        b.ret();
+        b.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Difference propagation reaches exactly the reference solver's
+        /// sets: every local's targets, and the contents of every root
+        /// either side holds.
+        #[test]
+        fn difference_propagation_matches_the_reference(
+            args in 0usize..3,
+            types in proptest::collection::vec(0usize..5, 10..14),
+            ops in proptest::collection::vec(op_strategy(), 0..40),
+            cuts in proptest::collection::vec(0usize..40, 0..8)
+        ) {
+            let body = generated_body(args, &types, &ops, &cuts);
+            prop_assert!(body.blocks.len() <= 6, "{} blocks", body.blocks.len());
+            let (got, want) = (PointsTo::analyze(&body), reference(&body));
+            for l in body.local_indices() {
+                prop_assert_eq!(got.targets(l), want.targets(l), "targets of {} in {:?}", l, ops);
+            }
+            let roots: BTreeSet<MemRoot> = got.cells.keys().chain(want.cells.keys()).copied().collect();
+            for root in roots {
+                prop_assert_eq!(
+                    got.cell_contents(root),
+                    want.cell_contents(root),
+                    "contents of {} in {:?}",
+                    root,
+                    ops
+                );
+            }
+        }
+    }
 
     #[test]
     fn address_of_and_copy() {

@@ -41,7 +41,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let mut p = Parser::new(tokens);
     let mut program = Program::new();
     if p.eat_ident("entry") {
-        let name = p.expect_any_ident("entry function name")?;
+        let name = p.expect_any_ident("entry function name")?.to_owned();
         p.expect_punct(";")?;
         program.set_entry(name);
     }
@@ -69,26 +69,57 @@ pub fn parse_body(src: &str) -> Result<Body, ParseError> {
 
 // --- lexer --------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum TokenKind {
-    Ident(String),
+/// A token; identifiers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TokenKind<'a> {
+    Ident(&'a str),
     Int(i64),
     Punct(&'static str),
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Token {
-    kind: TokenKind,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Token<'a> {
+    kind: TokenKind<'a>,
     span: Span,
 }
 
-const PUNCTS2: &[&str] = &["->", "::", "==", "!=", "<=", ">=", "&&", "||"];
-const PUNCTS1: &[&str] = &[
-    "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "=", "<", ">", "&", "*", "!", "-", "+", "/",
-    "%",
-];
+/// The punctuation token that `rest` starts with, longest match first.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let next = rest.get(1).copied().unwrap_or(0);
+    Some(match (rest[0], next) {
+        (b'-', b'>') => "->",
+        (b':', b':') => "::",
+        (b'=', b'=') => "==",
+        (b'!', b'=') => "!=",
+        (b'<', b'=') => "<=",
+        (b'>', b'=') => ">=",
+        (b'&', b'&') => "&&",
+        (b'|', b'|') => "||",
+        (b'(', _) => "(",
+        (b')', _) => ")",
+        (b'[', _) => "[",
+        (b']', _) => "]",
+        (b'{', _) => "{",
+        (b'}', _) => "}",
+        (b',', _) => ",",
+        (b';', _) => ";",
+        (b':', _) => ":",
+        (b'.', _) => ".",
+        (b'=', _) => "=",
+        (b'<', _) => "<",
+        (b'>', _) => ">",
+        (b'&', _) => "&",
+        (b'*', _) => "*",
+        (b'!', _) => "!",
+        (b'-', _) => "-",
+        (b'+', _) => "+",
+        (b'/', _) => "/",
+        (b'%', _) => "%",
+        _ => return None,
+    })
+}
 
-fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let mut tokens = Vec::new();
     let mut line: u32 = 1;
     let mut col: u32 = 1;
@@ -121,10 +152,9 @@ fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
             {
                 i += 1;
             }
-            let text = &src[start..i];
             col += (i - start) as u32;
             tokens.push(Token {
-                kind: TokenKind::Ident(text.to_owned()),
+                kind: TokenKind::Ident(&src[start..i]),
                 span,
             });
             continue;
@@ -146,12 +176,8 @@ fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
             });
             continue;
         }
-        // Byte comparison: slicing `src` here could split a multibyte char.
-        if let Some(&p) = PUNCTS2
-            .iter()
-            .chain(PUNCTS1)
-            .find(|p| bytes[i..].starts_with(p.as_bytes()))
-        {
+        // Matched on bytes: slicing `src` here could split a multibyte char.
+        if let Some(p) = punct(&bytes[i..]) {
             tokens.push(Token {
                 kind: TokenKind::Punct(p),
                 span,
@@ -173,16 +199,16 @@ fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
 
 // --- parser ------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Safety applied to nodes without an explicit `unsafe` prefix
     /// (set while parsing the body of an `unsafe fn`).
     ambient_safety: Safety,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
+impl<'a> Parser<'a> {
+    fn new(tokens: Vec<Token<'a>>) -> Parser<'a> {
         Parser {
             tokens,
             pos: 0,
@@ -194,8 +220,8 @@ impl Parser {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&TokenKind> {
-        self.tokens.get(self.pos).map(|t| &t.kind)
+    fn peek(&self) -> Option<TokenKind<'a>> {
+        self.tokens.get(self.pos).map(|t| t.kind)
     }
 
     fn here(&self) -> Span {
@@ -213,8 +239,8 @@ impl Parser {
         }
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.tokens.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -222,7 +248,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Some(TokenKind::Punct(q)) if *q == p) {
+        if matches!(self.peek(), Some(TokenKind::Punct(q)) if q == p) {
             self.pos += 1;
             true
         } else {
@@ -255,10 +281,9 @@ impl Parser {
         }
     }
 
-    fn expect_any_ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn expect_any_ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
             Some(TokenKind::Ident(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
@@ -266,10 +291,19 @@ impl Parser {
         }
     }
 
+    /// A function name, possibly `::`-separated (`mutex::lock`).
+    fn expect_path(&mut self) -> Result<String, ParseError> {
+        let mut path = self.expect_any_ident("function name")?.to_owned();
+        while self.eat_punct("::") {
+            path.push_str("::");
+            path.push_str(self.expect_any_ident("path segment")?);
+        }
+        Ok(path)
+    }
+
     fn expect_int(&mut self) -> Result<i64, ParseError> {
         match self.peek() {
             Some(TokenKind::Int(v)) => {
-                let v = *v;
                 self.pos += 1;
                 Ok(v)
             }
@@ -314,7 +348,7 @@ impl Parser {
         } else {
             Safety::Safe
         };
-        let name = self.expect_any_ident("function name")?;
+        let name = self.expect_any_ident("function name")?.to_owned();
         self.expect_punct("(")?;
         let mut params: Vec<LocalDecl> = Vec::new();
         if !self.eat_punct(")") {
@@ -326,7 +360,7 @@ impl Parser {
                     )));
                 }
                 let pname = if self.eat_ident("as") {
-                    Some(self.expect_any_ident("parameter name")?)
+                    Some(self.expect_any_ident("parameter name")?.to_owned())
                 } else {
                     None
                 };
@@ -356,7 +390,7 @@ impl Parser {
                 )));
             }
             let name = if self.eat_ident("as") {
-                Some(self.expect_any_ident("local name")?)
+                Some(self.expect_any_ident("local name")?.to_owned())
             } else {
                 None
             };
@@ -563,12 +597,7 @@ impl Parser {
             self.expect_punct(")")?;
             return Ok(Callee::Ptr(l));
         }
-        let mut path = self.expect_any_ident("function name")?;
-        while self.eat_punct("::") {
-            let seg = self.expect_any_ident("path segment")?;
-            path.push_str("::");
-            path.push_str(&seg);
-        }
+        let path = self.expect_path()?;
         match path.parse::<Intrinsic>() {
             Ok(i) => Ok(Callee::Intrinsic(i)),
             Err(_) => Ok(Callee::Fn(path)),
@@ -622,7 +651,6 @@ impl Parser {
             return Ok(Const::Int(-v));
         }
         if let Some(TokenKind::Int(v)) = self.peek() {
-            let v = *v;
             self.pos += 1;
             return Ok(Const::Int(v));
         }
@@ -637,13 +665,7 @@ impl Parser {
             return Ok(Const::Unit);
         }
         if self.eat_ident("fn") {
-            let mut path = self.expect_any_ident("function name")?;
-            while self.eat_punct("::") {
-                let seg = self.expect_any_ident("path segment")?;
-                path.push_str("::");
-                path.push_str(&seg);
-            }
-            return Ok(Const::Fn(path));
+            return Ok(Const::Fn(self.expect_path()?));
         }
         Err(self.error_here("expected constant"))
     }
@@ -763,7 +785,7 @@ impl Parser {
             return Ok(Ty::Tuple(elems));
         }
         let name = self.expect_any_ident("type")?;
-        let ty = match name.as_str() {
+        let ty = match name {
             "unit" => Ty::Unit,
             "bool" => Ty::Bool,
             "int" => Ty::Int,
@@ -774,7 +796,7 @@ impl Parser {
                 self.expect_punct("<")?;
                 let inner = Box::new(self.parse_ty()?);
                 self.expect_punct(">")?;
-                match name.as_str() {
+                match name {
                     "Mutex" => Ty::Mutex(inner),
                     "RwLock" => Ty::RwLock(inner),
                     "Guard" => Ty::Guard(inner),
@@ -783,7 +805,7 @@ impl Parser {
                     _ => Ty::JoinHandle(inner),
                 }
             }
-            _ => Ty::Named(name),
+            _ => Ty::Named(name.to_owned()),
         };
         Ok(ty)
     }
@@ -1037,6 +1059,9 @@ fn f(_1 as p: *mut *mut int) -> unit {
                 "out of range",
             ),
             ("fn f() -> nosuch< { bb0: { return; } }", "expected"),
+            // Adjacent punctuation lexes longest match first: `->` is one
+            // token, so the type is what is missing.
+            ("fn f() ->-<=<:: unit", "expected type"),
             (
                 "fn f() -> unit { bb0: { StorageLive(x); } }",
                 "expected local",
@@ -1053,6 +1078,20 @@ fn f(_1 as p: *mut *mut int) -> unit {
                 "source {src:?}: expected {want:?} in {err}"
             );
         }
+    }
+
+    #[test]
+    fn lexer_takes_the_longest_punctuation_first() {
+        let kinds: Vec<TokenKind> = lex("->-<=<::||").map_or_else(
+            |e| panic!("{e}"),
+            |tokens| tokens.iter().map(|t| t.kind).collect(),
+        );
+        assert_eq!(
+            kinds,
+            ["->", "-", "<=", "<", "::", "||"]
+                .map(TokenKind::Punct)
+                .to_vec()
+        );
     }
 
     #[test]

@@ -29,17 +29,11 @@ fn main() -> ExitCode {
     let profile = take_flag(&mut args, "--profile");
     let metrics_json = match take_value(&mut args, "--metrics-json") {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let trace_out = match take_value(&mut args, "--trace-out") {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let wants_trace = args.iter().any(|a| a == "--trace");
     if profile || metrics_json.is_some() || wants_trace || trace_out.is_some() {
@@ -57,18 +51,15 @@ fn main() -> ExitCode {
         "ingest" => cmd_ingest(&mut args[1..].to_vec()),
         "serve" => cmd_serve(&mut args[1..].to_vec()),
         "run" => cmd_run(&mut args[1..].to_vec()),
-        "lint" => cmd_lint(&args[1..]),
-        "scan" => cmd_scan(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "corpus" => cmd_corpus(&args[1..]),
+        "lint" => cmd_lint(&mut args[1..].to_vec()),
+        "scan" => cmd_scan(&mut args[1..].to_vec()),
+        "report" => cmd_report(&mut args[1..].to_vec()),
+        "corpus" => cmd_corpus(&mut args[1..].to_vec()),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             ExitCode::SUCCESS
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            ExitCode::from(2)
-        }
+        other => usage_error(&format!("unknown command `{other}`")),
     };
     if profile {
         print!("{}", rstudy_telemetry::render_profile());
@@ -118,6 +109,22 @@ fn take_value(args: &mut Vec<String>, name: &str) -> Result<Option<String>, Stri
     } else {
         Err(format!("{name}: missing value"))
     }
+}
+
+/// Fails on the first argument `cmd` does not take: a flag its parser left
+/// in `args`, or a positional beyond the first `positionals`.
+fn reject_unknown(cmd: &str, args: &[String], positionals: usize) -> Result<(), String> {
+    let flag = args.iter().find(|a| a.starts_with("--"));
+    match flag.or(args.get(positionals)) {
+        Some(stray) => Err(format!("{cmd}: unexpected argument `{stray}`")),
+        None => Ok(()),
+    }
+}
+
+/// Prints `message` above the usage text; exit status 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}\n{USAGE}");
+    ExitCode::from(2)
 }
 
 const USAGE: &str = "\
@@ -188,19 +195,12 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
         };
         let manifest = take_value(args, "--manifest")?;
         // What is left is `<file.mir>` alone, or nothing with --manifest.
-        let positionals = usize::from(manifest.is_none());
-        let unknown = args.iter().find(|a| a.starts_with("--"));
-        if let Some(stray) = unknown.or(args.get(positionals)) {
-            return Err(format!("check: unexpected argument `{stray}`"));
-        }
+        reject_unknown("check", args, usize::from(manifest.is_none()))?;
         Ok((jobs, manifest))
     })();
     let (jobs, manifest) = match parsed {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let config = if naive {
         DetectorConfig::naive()
@@ -331,24 +331,19 @@ fn cmd_ingest(args: &mut Vec<String>) -> ExitCode {
     use rust_safety_study::dataset::compare::compare_scan;
     use rust_safety_study::ingest::{default_corpus_name, ingest};
 
-    let parsed = (|| {
+    let parsed = (|| -> Result<_, String> {
         let out = take_value(args, "--out")?.map(std::path::PathBuf::from);
         let name = take_value(args, "--name")?;
         let json = take_flag(args, "--json");
-        let positionals: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-        let root = match positionals.as_slice() {
-            [one] => std::path::PathBuf::from(one.as_str()),
-            [] => return Err("ingest: missing <dir>".to_owned()),
-            [_, extra, ..] => return Err(format!("ingest: unexpected argument `{extra}`")),
-        };
-        Ok((root, out, name, json))
+        reject_unknown("ingest", args, 1)?;
+        let root = args
+            .first()
+            .ok_or_else(|| "ingest: missing <dir>".to_owned())?;
+        Ok((std::path::PathBuf::from(root), out, name, json))
     })();
     let (root, out, name, json) = match parsed {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let name = name.unwrap_or_else(|| default_corpus_name(&root));
     let manifest = match ingest(&root, &name) {
@@ -459,10 +454,7 @@ fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
         slow_ms,
     ) = match parsed {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let config = ServeConfig {
         workers,
@@ -546,20 +538,14 @@ fn cmd_run(args: &mut Vec<String>) -> ExitCode {
         if let Some(max_steps) = integer(args, "--max-steps")? {
             config.max_steps = max_steps;
         }
-        let unknown = args.iter().find(|a| a.starts_with("--"));
-        if let Some(stray) = unknown.or(args.get(1)) {
-            return Err(format!("run: unexpected argument `{stray}`"));
-        }
+        reject_unknown("run", args, 1)?;
         args.first()
             .cloned()
             .ok_or_else(|| "run: missing <file.mir>".to_owned())
     })();
     let path = match parsed {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     let program = match load(&path) {
         Ok(p) => p,
@@ -598,7 +584,12 @@ fn cmd_run(args: &mut Vec<String>) -> ExitCode {
     }
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
+fn cmd_lint(args: &mut Vec<String>) -> ExitCode {
+    // `main` already turned tracing on for `--trace`.
+    take_flag(args, "--trace");
+    if let Err(e) = reject_unknown("lint", args, 1) {
+        return usage_error(&e);
+    }
     let Some(path) = args.first() else {
         eprintln!("lint: missing <file.mir>");
         return ExitCode::from(2);
@@ -613,9 +604,12 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     for (name, body) in program.iter() {
         let sections = lints::critical_sections(body);
         for s in sections {
+            let released: Vec<String> = s.released_at.iter().map(|l| l.to_string()).collect();
             println!(
-                "{name}: lock acquired at {} (guard {}) — implicit unlock at {:?}",
-                s.acquired_at, s.guard, s.released_at
+                "{name}: lock acquired at {} (guard {}) — implicit unlock at {}",
+                s.acquired_at,
+                s.guard,
+                released.join(", ")
             );
         }
     }
@@ -634,13 +628,25 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_scan(args: &[String]) -> ExitCode {
+fn cmd_scan(args: &mut Vec<String>) -> ExitCode {
+    // `main` already turned tracing on for `--trace`.
+    take_flag(args, "--trace");
+    if let Err(e) = reject_unknown("scan", args, usize::MAX) {
+        return usage_error(&e);
+    }
     if args.is_empty() {
         eprintln!("scan: missing <path>...");
         return ExitCode::from(2);
     }
+    // A path that does not exist is an error, not a tree without unsafe code.
+    for a in args.iter() {
+        if let Err(e) = std::fs::metadata(a) {
+            eprintln!("scan: {a}: {e}");
+            return ExitCode::from(2);
+        }
+    }
     let mut stats = rust_safety_study::scan::stats::ScanStats::default();
-    for a in args {
+    for a in args.iter() {
         scan_path(Path::new(a), &mut stats);
     }
     print!("{}", stats.render());
@@ -672,9 +678,15 @@ fn scan_path(path: &Path, stats: &mut rust_safety_study::scan::stats::ScanStats)
     }
 }
 
-fn cmd_report(args: &[String]) -> ExitCode {
+fn cmd_report(args: &mut Vec<String>) -> ExitCode {
     use rust_safety_study::dataset;
-    if args.iter().any(|a| a == "--json") {
+    // `main` already turned tracing on for `--trace`.
+    take_flag(args, "--trace");
+    let json = take_flag(args, "--json");
+    if let Err(e) = reject_unknown("report", args, 0) {
+        return usage_error(&e);
+    }
+    if json {
         match dataset::export::DatasetBundle::build().to_json() {
             Ok(json) => println!("{json}"),
             Err(e) => {
@@ -700,8 +712,13 @@ fn cmd_report(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_corpus(args: &[String]) -> ExitCode {
+fn cmd_corpus(args: &mut Vec<String>) -> ExitCode {
     use rust_safety_study::corpus::all_entries;
+    // `main` already turned tracing on for `--trace`.
+    take_flag(args, "--trace");
+    if let Err(e) = reject_unknown("corpus", args, 1) {
+        return usage_error(&e);
+    }
     match args.first() {
         None => {
             for e in all_entries() {

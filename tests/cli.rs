@@ -67,7 +67,12 @@ fn lint_prints_implicit_unlock_locations() {
         .expect("binary runs");
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("implicit unlock"), "{stdout}");
+    // Unlock points print as `bbN[i]`, like the acquire site.
+    assert!(
+        stdout.contains("implicit unlock at bb4[0], bb5[2]"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("Location {"), "{stdout}");
 }
 
 #[test]
@@ -359,10 +364,11 @@ fn invalid_jobs_values_are_usage_errors() {
 }
 
 #[test]
-fn invalid_run_and_check_arguments_are_usage_errors() {
+fn every_command_rejects_arguments_it_does_not_take() {
     let uaf = &mir_path("use_after_free.mir")[..];
-    // Each row: the arguments, and what the error line (printed before
-    // the usage text) must name.
+    let lock = &mir_path("double_lock.mir")[..];
+    let examples = &mir_path("")[..];
+    // Each row: the arguments, and what the first line of stderr must name.
     for (args, names) in [
         (&["run", uaf, "--seed", "abc"][..], "--seed"),
         (&["run", uaf, "--seed"][..], "--seed: missing value"),
@@ -376,6 +382,16 @@ fn invalid_run_and_check_arguments_are_usage_errors() {
         (&["check", uaf, "extra.mir"][..], "extra.mir"),
         // Arguments are rejected before the manifest is read.
         (&["check", "--manifest", "manifest.json", uaf][..], uaf),
+        (&["lint", lock, "--bogus"][..], "--bogus"),
+        (&["lint", lock, "extra.mir"][..], "extra.mir"),
+        // A typo'd path is not a tree without unsafe code.
+        (&["scan", "no/such/dir"][..], "no/such/dir"),
+        (&["scan", examples, "--bogus"][..], "--bogus"),
+        // A typo of `--json` must not print the text tables instead.
+        (&["report", "--jsn"][..], "--jsn"),
+        (&["corpus", "uaf_heap", "extra"][..], "extra"),
+        (&["ingest", examples, "--bogus"][..], "--bogus"),
+        (&["serve", "--stdin", "--bogus"][..], "--bogus"),
     ] {
         let out = bin().args(args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");
