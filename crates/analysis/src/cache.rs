@@ -47,7 +47,7 @@ struct BodyFacts {
 pub struct AnalysisCache<'p> {
     program: &'p Program,
     bodies: BTreeMap<&'p str, BodyFacts>,
-    call_graph: OnceLock<CallGraph>,
+    call_graph: OnceLock<CallGraph<'p>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -176,7 +176,7 @@ impl<'p> AnalysisCache<'p> {
     }
 
     /// The whole-program call graph.
-    pub fn call_graph(&self) -> &CallGraph {
+    pub fn call_graph(&self) -> &CallGraph<'p> {
         self.memo(&self.call_graph, || CallGraph::build(self.program))
     }
 }
@@ -257,8 +257,8 @@ mod tests {
     fn call_graph_is_computed_once() {
         let program = two_function_program();
         let cache = AnalysisCache::new(&program);
-        let a = cache.call_graph() as *const CallGraph;
-        let b = cache.call_graph() as *const CallGraph;
+        let a = cache.call_graph() as *const CallGraph<'_>;
+        let b = cache.call_graph() as *const CallGraph<'_>;
         assert_eq!(a, b);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }

@@ -18,14 +18,14 @@
 //! study's recursive `call_once` deadlock.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use rstudy_analysis::locks::{AcquireKind, Acquisition};
 use rstudy_analysis::points_to::{MemRoot, PointsTo};
 use rstudy_mir::visit::Location;
-use rstudy_mir::{Body, Callee, Const, Intrinsic, Operand, TerminatorKind};
+use rstudy_mir::{Body, Callee, Const, Intrinsic, Local, Operand, TerminatorKind};
 
 use crate::config::DetectorConfig;
+use crate::detectors::common::summarize;
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
 
@@ -43,81 +43,90 @@ pub(crate) struct FnLockInfo {
 #[derive(Debug, Default)]
 pub(crate) struct LockFacts {
     pub per_fn: BTreeMap<String, FnLockInfo>,
-    pub points_to: BTreeMap<String, Arc<PointsTo>>,
 }
 
 impl LockFacts {
     /// Computes per-function acquisition sets with interprocedural
     /// propagation (callee arg-pointee roots substituted by caller actuals).
-    /// Per-body points-to sets and acquisition lists come from the shared
-    /// cache, so other detectors reuse the same results.
     pub fn compute(cx: &AnalysisContext<'_>) -> LockFacts {
-        let program = cx.program();
+        let mut facts = LockFacts::direct(cx);
+        summarize(cx, |f, body| facts.step(cx, f, body));
+        facts
+    }
+
+    /// Each function's own acquisitions, with identity roots from the
+    /// cache's points-to sets, so other detectors reuse the same results.
+    pub(crate) fn direct(cx: &AnalysisContext<'_>) -> LockFacts {
         let mut facts = LockFacts::default();
-        for (name, _) in program.iter() {
+        for (name, _) in cx.program().iter() {
             let pt = cx.cache().points_to(name);
             let mut info = FnLockInfo::default();
             for acq in cx.cache().acquisitions(name) {
-                let roots: BTreeSet<MemRoot> = match acq.lock_ref {
-                    Some(r) => pt.targets(r).clone(),
-                    None => BTreeSet::new(),
-                };
-                for root in &roots {
-                    info.acquired.insert((*root, acq.kind));
-                }
+                let roots = acq.lock_ref.map(|r| pt.targets(r).clone());
+                let roots = roots.unwrap_or_default();
+                info.acquired.extend(roots.iter().map(|r| (*r, acq.kind)));
                 info.acquisitions.push((acq.clone(), roots));
             }
             facts.per_fn.insert(name.to_owned(), info);
-            facts.points_to.insert(name.to_owned(), pt);
-        }
-
-        // Fixpoint: pull callee acquisitions into the caller's root space.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (name, body) in program.iter() {
-                let mut additions: BTreeSet<(MemRoot, AcquireKind)> = BTreeSet::new();
-                for bb in body.block_indices() {
-                    let Some(term) = &body.block(bb).terminator else {
-                        continue;
-                    };
-                    let (callee, args) = match &term.kind {
-                        TerminatorKind::Call {
-                            func: Callee::Fn(c),
-                            args,
-                            ..
-                        } => (c.clone(), args.clone()),
-                        // thread::spawn(fn f, arg): f runs with `arg`.
-                        TerminatorKind::Call {
-                            func: Callee::Intrinsic(Intrinsic::ThreadSpawn),
-                            args,
-                            ..
-                        } => {
-                            let Some(Operand::Const(Const::Fn(f))) = args.first() else {
-                                continue;
-                            };
-                            (f.clone(), args[1..].to_vec())
-                        }
-                        _ => continue,
-                    };
-                    let Some(callee_info) = facts.per_fn.get(&callee) else {
-                        continue;
-                    };
-                    let resolved = resolve_roots(
-                        &callee_info.acquired,
-                        &args,
-                        facts.points_to.get(name).expect("pt computed"),
-                    );
-                    additions.extend(resolved);
-                }
-                let info = facts.per_fn.get_mut(name).expect("info computed");
-                for a in additions {
-                    changed |= info.acquired.insert(a);
-                }
-            }
         }
         facts
     }
+
+    /// Pulls the acquisitions of `function`'s callees into its own root
+    /// space; returns whether its acquired set grew.
+    pub(crate) fn step(&mut self, cx: &AnalysisContext<'_>, function: &str, body: &Body) -> bool {
+        let pt = cx.cache().points_to(function);
+        let mut pulled = BTreeSet::new();
+        for (_, callee, args) in calls(body) {
+            if let Some(callee_info) = self.per_fn.get(callee) {
+                pulled.extend(resolve_roots(&callee_info.acquired, args, &pt));
+            }
+        }
+        let info = self.per_fn.get_mut(function).expect("info computed");
+        let before = info.acquired.len();
+        info.acquired.extend(pulled);
+        info.acquired.len() > before
+    }
+}
+
+/// The call sites of `body` that run another function, with their
+/// locations and the operands bound to the callee's parameters: `f(args…)`,
+/// and `thread::spawn(f, args…)`, which runs `f` with `args…`.
+pub(crate) fn calls(body: &Body) -> impl Iterator<Item = (Location, &str, &[Operand])> {
+    body.block_indices().filter_map(move |bb| {
+        let data = body.block(bb);
+        let TerminatorKind::Call { func, args, .. } = &data.terminator.as_ref()?.kind else {
+            return None;
+        };
+        let (callee, args) = match func {
+            Callee::Fn(f) => (f, &args[..]),
+            Callee::Intrinsic(Intrinsic::ThreadSpawn) => match args.split_first()? {
+                (Operand::Const(Const::Fn(f)), rest) => (f, rest),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let location = Location {
+            block: bb,
+            statement_index: data.statements.len(),
+        };
+        Some((location, callee.as_str(), args))
+    })
+}
+
+/// What the operand a call binds to parameter `param` may point to, in the
+/// caller's root space: the callee's `ArgPointee(param)` at that call.
+pub(crate) fn actual_pointees<'a>(
+    param: Local,
+    args: &'a [Operand],
+    caller_pt: &'a PointsTo,
+) -> impl Iterator<Item = MemRoot> + 'a {
+    // param is `_i`; the matching actual is args[i-1].
+    let actual = args.get((param.0 as usize).saturating_sub(1));
+    let local = actual.and_then(Operand::place).filter(|p| p.is_local());
+    local
+        .into_iter()
+        .flat_map(|p| caller_pt.targets(p.local).iter().copied())
 }
 
 /// Maps callee-space roots to caller-space roots at one call site.
@@ -127,21 +136,13 @@ pub(crate) fn resolve_roots(
     caller_pt: &PointsTo,
 ) -> BTreeSet<(MemRoot, AcquireKind)> {
     let mut out = BTreeSet::new();
-    for (root, kind) in callee_roots {
+    for &(root, kind) in callee_roots {
         match root {
             MemRoot::ArgPointee(param) => {
-                // param is `_i`; the matching actual is args[i-1].
-                let idx = (param.0 as usize).saturating_sub(1);
-                if let Some(actual) = args.get(idx).and_then(Operand::place) {
-                    if actual.is_local() {
-                        for r in caller_pt.targets(actual.local) {
-                            out.insert((*r, *kind));
-                        }
-                    }
-                }
+                out.extend(actual_pointees(param, args, caller_pt).map(|r| (r, kind)));
             }
             MemRoot::Unknown => {
-                out.insert((MemRoot::Unknown, *kind));
+                out.insert((MemRoot::Unknown, kind));
             }
             // A lock local to the callee (or its heap) cannot alias
             // anything the caller holds.
@@ -171,7 +172,7 @@ impl Detector for DoubleLock {
         let mut out = Vec::new();
         let name = function;
         let info = &facts.per_fn[name];
-        let pt = &facts.points_to[name];
+        let pt = cx.cache().points_to(name);
         let held = cx.cache().held_guards(name);
 
         // Identity roots of every guard that may be held at `loc`.
@@ -230,18 +231,18 @@ impl Detector for DoubleLock {
                 block: bb,
                 statement_index: data.statements.len(),
             };
-            let (callee, args) = match &term.kind {
-                TerminatorKind::Call {
-                    func: Callee::Fn(c),
-                    args,
-                    ..
-                } => (c.clone(), args.clone()),
-                _ => continue,
-            };
-            let Some(callee_info) = facts.per_fn.get(&callee) else {
+            let TerminatorKind::Call {
+                func: Callee::Fn(callee),
+                args,
+                ..
+            } = &term.kind
+            else {
                 continue;
             };
-            let callee_acquires = resolve_roots(&callee_info.acquired, &args, pt);
+            let Some(callee_info) = facts.per_fn.get(callee) else {
+                continue;
+            };
+            let callee_acquires = resolve_roots(&callee_info.acquired, args, &pt);
             let held_now = held_roots(loc);
             for (root, held_kind) in &held_now {
                 if matches!(root, MemRoot::Unknown) {
@@ -276,8 +277,7 @@ impl Detector for DoubleLock {
 }
 
 /// Finds `once::call_once` initializers in `body` that (transitively) call
-/// `once::call_once` again — the study's guaranteed deadlock. The call
-/// graph is only built when the body actually uses `call_once`.
+/// `once::call_once` again — the study's guaranteed deadlock.
 fn recursive_once(cx: &AnalysisContext<'_>, name: &str, body: &Body, out: &mut Vec<Diagnostic>) {
     let program = cx.program();
     for bb in body.block_indices() {
@@ -337,7 +337,7 @@ fn recursive_once(cx: &AnalysisContext<'_>, name: &str, body: &Body, out: &mut V
 mod tests {
     use super::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Local, Mutability, Place, Program, Rvalue, Ty};
+    use rstudy_mir::{Mutability, Place, Program, Rvalue, Ty};
 
     fn run(program: &Program) -> Vec<Diagnostic> {
         DoubleLock.check_program(program, &DetectorConfig::new())

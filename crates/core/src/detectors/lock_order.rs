@@ -9,13 +9,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rstudy_analysis::locks::AcquireKind;
-use rstudy_analysis::points_to::MemRoot;
+use rstudy_analysis::points_to::{MemRoot, PointsTo};
 use rstudy_mir::visit::Location;
-use rstudy_mir::{Callee, Const, Intrinsic, Operand, TerminatorKind};
+use rstudy_mir::{Body, Operand};
 
 use crate::config::DetectorConfig;
-use crate::detectors::double_lock::resolve_roots;
+use crate::detectors::common::summarize;
+use crate::detectors::double_lock::{actual_pointees, calls, resolve_roots, LockFacts};
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
 
@@ -32,6 +32,91 @@ struct OrderEdge {
     location: Location,
 }
 
+/// Per function: its order edges `(A, B, location)` in the function's own
+/// root space, including edges formed by calling lock-acquiring functions
+/// while holding a lock.
+pub(crate) type FnEdges = BTreeMap<String, BTreeSet<(MemRoot, MemRoot, Location)>>;
+
+/// Every function's order edges, propagated upward through calls.
+pub(crate) fn order_edges(cx: &AnalysisContext<'_>) -> FnEdges {
+    let facts = cx.lock_facts();
+    let mut edges = FnEdges::new();
+    summarize(cx, |f, body| order_step(cx, facts, &mut edges, f, body));
+    edges
+}
+
+/// Adds to `function`'s order edges its own nested acquisitions, its
+/// callees' edges resolved at each call, and each callee acquisition
+/// nested under a lock held across the call; returns whether they grew.
+pub(crate) fn order_step(
+    cx: &AnalysisContext<'_>,
+    facts: &LockFacts,
+    edges: &mut FnEdges,
+    function: &str,
+    body: &Body,
+) -> bool {
+    let info = &facts.per_fn[function];
+    let pt = cx.cache().points_to(function);
+    let held = cx.cache().held_guards(function);
+
+    let held_roots = |loc: Location| -> BTreeSet<MemRoot> {
+        let state = held.state_before(body, loc);
+        let mut roots = BTreeSet::new();
+        for (acq, acq_roots) in &info.acquisitions {
+            if state.contains(acq.guard.index()) {
+                roots.extend(acq_roots.iter().copied());
+            }
+        }
+        roots
+    };
+
+    let mut found: BTreeSet<(MemRoot, MemRoot, Location)> = BTreeSet::new();
+
+    // Direct nesting inside this function.
+    for (acq, acq_roots) in &info.acquisitions {
+        for first in held_roots(acq.location) {
+            for second in acq_roots {
+                if first != *second {
+                    found.insert((first, *second, acq.location));
+                }
+            }
+        }
+    }
+
+    // Nesting through calls: callee edges resolved here, and callee
+    // acquisitions nested under our held locks.
+    for (loc, callee, args) in calls(body) {
+        for (a, b, _inner_loc) in edges.get(callee).into_iter().flatten() {
+            let rb = resolve_one(*b, args, &pt);
+            for x in resolve_one(*a, args, &pt) {
+                for y in &rb {
+                    if x != *y {
+                        found.insert((x, *y, loc));
+                    }
+                }
+            }
+        }
+        if let Some(callee_info) = facts.per_fn.get(callee) {
+            let inner = resolve_roots(&callee_info.acquired, args, &pt);
+            for first in held_roots(loc) {
+                for (second, _k) in &inner {
+                    if first != *second {
+                        found.insert((first, *second, loc));
+                    }
+                }
+            }
+        }
+    }
+
+    if found.is_empty() {
+        return false;
+    }
+    let own = edges.entry(function.to_owned()).or_default();
+    let before = own.len();
+    own.extend(found);
+    own.len() > before
+}
+
 /// The lock-order-inversion detector.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LockOrderInversion;
@@ -43,118 +128,11 @@ impl Detector for LockOrderInversion {
 
     fn check_global(&self, cx: &AnalysisContext<'_>, _config: &DetectorConfig) -> Vec<Diagnostic> {
         let program = cx.program();
-        let facts = cx.lock_facts();
-
-        // Per function: order edges in the function's own root space,
-        // including edges formed by calling lock-acquiring functions while
-        // holding a lock. Iterate to propagate edges upward through calls.
-        let mut fn_edges: BTreeMap<String, BTreeSet<(MemRoot, MemRoot, Location)>> =
-            BTreeMap::new();
-        for (name, _) in program.iter() {
-            fn_edges.insert(name.to_owned(), BTreeSet::new());
-        }
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (name, body) in program.iter() {
-                let info = &facts.per_fn[name];
-                let pt = &facts.points_to[name];
-                let held = cx.cache().held_guards(name);
-
-                let held_roots = |loc: Location| -> BTreeSet<MemRoot> {
-                    let state = held.state_before(body, loc);
-                    let mut roots = BTreeSet::new();
-                    for (acq, acq_roots) in &info.acquisitions {
-                        if state.contains(acq.guard.index()) {
-                            roots.extend(acq_roots.iter().copied());
-                        }
-                    }
-                    roots
-                };
-
-                let mut new_edges: BTreeSet<(MemRoot, MemRoot, Location)> = BTreeSet::new();
-
-                // Direct nesting inside this function.
-                for (acq, acq_roots) in &info.acquisitions {
-                    for first in held_roots(acq.location) {
-                        for second in acq_roots {
-                            if first != *second {
-                                new_edges.insert((first, *second, acq.location));
-                            }
-                        }
-                    }
-                }
-
-                // Nesting through calls: callee edges resolved here, and
-                // callee acquisitions nested under our held locks.
-                for bb in body.block_indices() {
-                    let data = body.block(bb);
-                    let Some(term) = &data.terminator else {
-                        continue;
-                    };
-                    let loc = Location {
-                        block: bb,
-                        statement_index: data.statements.len(),
-                    };
-                    let (callee, args) = match &term.kind {
-                        TerminatorKind::Call {
-                            func: Callee::Fn(c),
-                            args,
-                            ..
-                        } => (c.clone(), args.clone()),
-                        TerminatorKind::Call {
-                            func: Callee::Intrinsic(Intrinsic::ThreadSpawn),
-                            args,
-                            ..
-                        } => {
-                            let Some(Operand::Const(Const::Fn(f))) = args.first() else {
-                                continue;
-                            };
-                            (f.clone(), args[1..].to_vec())
-                        }
-                        _ => continue,
-                    };
-                    let Some(callee_edges) = fn_edges.get(&callee) else {
-                        continue;
-                    };
-                    // Resolve callee edges into our space.
-                    for (a, b, _inner_loc) in callee_edges.clone() {
-                        let ra = resolve_one(a, &args, pt);
-                        let rb = resolve_one(b, &args, pt);
-                        for x in &ra {
-                            for y in &rb {
-                                if x != y {
-                                    new_edges.insert((*x, *y, loc));
-                                }
-                            }
-                        }
-                    }
-                    // Locks acquired anywhere in the callee, nested under
-                    // locks we hold across the call.
-                    if let Some(callee_info) = facts.per_fn.get(&callee) {
-                        let inner = resolve_roots(&callee_info.acquired, &args, pt);
-                        for first in held_roots(loc) {
-                            for (second, _k) in &inner {
-                                if first != *second {
-                                    new_edges.insert((first, *second, loc));
-                                }
-                            }
-                        }
-                    }
-                }
-
-                let entry = fn_edges.get_mut(name).expect("initialized");
-                for e in new_edges {
-                    changed |= entry.insert(e);
-                }
-            }
-        }
 
         // Collect globally-identified edges (both endpoints are locals of
         // the function where the edge surfaced).
         let mut global_edges: Vec<OrderEdge> = Vec::new();
-        for (name, edges) in &fn_edges {
+        for (name, edges) in &order_edges(cx) {
             for (a, b, loc) in edges {
                 if let (MemRoot::Local(la), MemRoot::Local(lb)) = (a, b) {
                     global_edges.push(OrderEdge {
@@ -167,18 +145,24 @@ impl Detector for LockOrderInversion {
             }
         }
 
+        // The first edge of each (first, second) pair, so that an edge's
+        // inverse is one lookup.
+        let mut first_edge: BTreeMap<(&GlobalLock, &GlobalLock), &OrderEdge> = BTreeMap::new();
+        for e in &global_edges {
+            first_edge.entry((&e.first, &e.second)).or_insert(e);
+        }
+
         // Report each inverted pair once.
         let mut out = Vec::new();
-        let mut reported: BTreeSet<(GlobalLock, GlobalLock)> = BTreeSet::new();
+        let mut reported: BTreeSet<(&GlobalLock, &GlobalLock)> = BTreeSet::new();
         for e in &global_edges {
-            let inverted = global_edges
-                .iter()
-                .find(|f| f.first == e.second && f.second == e.first);
-            let Some(inv) = inverted else { continue };
+            let Some(inv) = first_edge.get(&(&e.second, &e.first)) else {
+                continue;
+            };
             let key = if e.first <= e.second {
-                (e.first.clone(), e.second.clone())
+                (&e.first, &e.second)
             } else {
-                (e.second.clone(), e.first.clone())
+                (&e.second, &e.first)
             };
             if !reported.insert(key) {
                 continue;
@@ -206,25 +190,14 @@ impl Detector for LockOrderInversion {
                 ),
             ));
         }
-        let _ = AcquireKind::Mutex; // lock kinds are irrelevant to ordering
         out
     }
 }
 
-fn resolve_one(
-    root: MemRoot,
-    args: &[Operand],
-    caller_pt: &rstudy_analysis::points_to::PointsTo,
-) -> Vec<MemRoot> {
+/// Maps one callee-space root to caller-space roots at one call site.
+fn resolve_one(root: MemRoot, args: &[Operand], caller_pt: &PointsTo) -> Vec<MemRoot> {
     match root {
-        MemRoot::ArgPointee(param) => {
-            let idx = (param.0 as usize).saturating_sub(1);
-            args.get(idx)
-                .and_then(Operand::place)
-                .filter(|p| p.is_local())
-                .map(|p| caller_pt.targets(p.local).iter().copied().collect())
-                .unwrap_or_default()
-        }
+        MemRoot::ArgPointee(param) => actual_pointees(param, args, caller_pt).collect(),
         other => vec![other],
     }
 }
@@ -233,7 +206,7 @@ fn resolve_one(
 mod tests {
     use super::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Mutability, Place, Program, Rvalue, Ty};
+    use rstudy_mir::{Callee, Const, Intrinsic, Mutability, Place, Program, Rvalue, Ty};
 
     fn run(program: &Program) -> Vec<Diagnostic> {
         LockOrderInversion.check_program(program, &DetectorConfig::new())

@@ -12,6 +12,7 @@
 //! rust-safety-study serve [--port N] [--stdin]     long-running analysis service
 //! ```
 
+use std::io::{self, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -27,6 +28,7 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // Telemetry flags are global: valid in any position, for every command.
     let profile = take_flag(&mut args, "--profile");
+    let trace = take_flag(&mut args, "--trace");
     let metrics_json = match take_value(&mut args, "--metrics-json") {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
@@ -35,35 +37,40 @@ fn main() -> ExitCode {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
     };
-    let wants_trace = args.iter().any(|a| a == "--trace");
-    if profile || metrics_json.is_some() || wants_trace || trace_out.is_some() {
+    if profile || metrics_json.is_some() || trace || trace_out.is_some() {
         rstudy_telemetry::enable();
     }
-    if wants_trace || trace_out.is_some() {
+    if trace || trace_out.is_some() {
         rstudy_telemetry::set_tracing(true);
     }
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    // Every command writes its output through `out`, so that a reader that
+    // goes away early (`corpus | head -1`) ends it with an error instead of
+    // the panic `println!` raises.
+    let mut out = io::stdout();
+    let rest = &mut args[1..].to_vec();
     let code = match cmd.as_str() {
-        "check" => cmd_check(&mut args[1..].to_vec()),
-        "ingest" => cmd_ingest(&mut args[1..].to_vec()),
-        "serve" => cmd_serve(&mut args[1..].to_vec()),
-        "run" => cmd_run(&mut args[1..].to_vec()),
-        "lint" => cmd_lint(&mut args[1..].to_vec()),
-        "scan" => cmd_scan(&mut args[1..].to_vec()),
-        "report" => cmd_report(&mut args[1..].to_vec()),
-        "corpus" => cmd_corpus(&mut args[1..].to_vec()),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        other => usage_error(&format!("unknown command `{other}`")),
+        "check" => cmd_check(rest, &mut out),
+        "ingest" => cmd_ingest(rest, &mut out),
+        "serve" => cmd_serve(rest, &mut out),
+        "run" => cmd_run(rest, trace, &mut out),
+        "lint" => cmd_lint(rest, &mut out),
+        "scan" => cmd_scan(rest, &mut out),
+        "report" => cmd_report(rest, &mut out),
+        "corpus" => cmd_corpus(rest, &mut out),
+        "--help" | "-h" | "help" => writeln!(out, "{USAGE}").map(|()| ExitCode::SUCCESS),
+        other => Ok(usage_error(&format!("unknown command `{other}`"))),
     };
-    if profile {
-        print!("{}", rstudy_telemetry::render_profile());
-    }
+    let code = code.and_then(|code| {
+        if profile {
+            write!(out, "{}", rstudy_telemetry::render_profile())?;
+        }
+        out.flush()?;
+        Ok(code)
+    });
     if let Some(path) = metrics_json {
         if let Err(e) = std::fs::write(&path, rstudy_telemetry::to_json()) {
             eprintln!("--metrics-json {path}: {e}");
@@ -76,7 +83,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    code
+    match code {
+        Ok(code) => code,
+        // The reader closed stdout: stop quietly, with the status a shell
+        // reports for a writer that SIGPIPE ended (`yes | head -1`).
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::from(128 + 13),
+        Err(e) => {
+            eprintln!("stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 /// Removes every occurrence of `name` from `args`; returns whether any was
@@ -180,11 +196,9 @@ fn load(path: &str) -> Result<Program, String> {
     Ok(program)
 }
 
-fn cmd_check(args: &mut Vec<String>) -> ExitCode {
+fn cmd_check(args: &mut Vec<String>, out: &mut impl Write) -> io::Result<ExitCode> {
     let naive = take_flag(args, "--naive");
     let json = take_flag(args, "--json");
-    // `main` already turned tracing on for `--trace`.
-    take_flag(args, "--trace");
     let parsed = (|| {
         let jobs = match take_value(args, "--jobs")? {
             None => 0,
@@ -200,7 +214,7 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
     })();
     let (jobs, manifest) = match parsed {
         Ok(p) => p,
-        Err(e) => return usage_error(&e),
+        Err(e) => return Ok(usage_error(&e)),
     };
     let config = if naive {
         DetectorConfig::naive()
@@ -208,17 +222,17 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
         DetectorConfig::new()
     };
     if let Some(mpath) = manifest {
-        return check_manifest(&mpath, config, jobs, json);
+        return check_manifest(&mpath, config, jobs, json, out);
     }
     let Some(path) = args.first() else {
         eprintln!("check: missing <file.mir>");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     let program = match load(path) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let report = DetectorSuite::new()
@@ -228,23 +242,23 @@ fn cmd_check(args: &mut Vec<String>) -> ExitCode {
         // The one-line machine-readable form — the same bytes the analysis
         // service embeds under `"report"` for the same program.
         let json = serde_json::to_string(&report).expect("report serialization cannot fail");
-        println!("{json}");
-        return if report.is_clean() {
+        writeln!(out, "{json}")?;
+        return Ok(if report.is_clean() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
-        };
+        });
     }
-    print_trace_events();
+    print_trace_events(out)?;
     if report.is_clean() {
-        println!("{path}: no findings");
-        return ExitCode::SUCCESS;
+        writeln!(out, "{path}: no findings")?;
+        return Ok(ExitCode::SUCCESS);
     }
     for d in report.diagnostics() {
-        println!("{d}");
+        writeln!(out, "{d}")?;
     }
-    println!("{}: {} finding(s)", path, report.len());
-    ExitCode::FAILURE
+    writeln!(out, "{}: {} finding(s)", path, report.len())?;
+    Ok(ExitCode::FAILURE)
 }
 
 /// Serializable output of `check --manifest --json`.
@@ -267,13 +281,19 @@ struct ManifestReportEntry {
 /// manifest (`check --manifest <path>`), `jobs` programs at once. Exit: 2
 /// on a load, parse or validation error, failure when any program has
 /// findings, success otherwise.
-fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) -> ExitCode {
+fn check_manifest(
+    mpath: &str,
+    config: DetectorConfig,
+    jobs: usize,
+    json: bool,
+    out: &mut impl Write,
+) -> io::Result<ExitCode> {
     use rust_safety_study::ingest::Manifest;
     let m = match Manifest::load(Path::new(mpath)) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("check: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let mut programs = Vec::new();
@@ -282,12 +302,12 @@ fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) 
             Ok(p) => p,
             Err(e) => {
                 eprintln!("check: {mpath}: {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         if let Err(errs) = validate_program(&program) {
             eprintln!("check: {mpath}: {path}: invalid program: {}", errs[0]);
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         programs.push((path.to_owned(), program));
     }
@@ -295,7 +315,7 @@ fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) 
     let reports = suite.check_programs(programs.iter().map(|(n, p)| (n.as_str(), p)));
     let findings: usize = reports.iter().map(|(_, r)| r.len()).sum();
     if json {
-        let out = ManifestCheckOutput {
+        let output = ManifestCheckOutput {
             manifest: m.name.clone(),
             programs: reports.len(),
             findings,
@@ -304,30 +324,31 @@ fn check_manifest(mpath: &str, config: DetectorConfig, jobs: usize, json: bool) 
                 .map(|(path, report)| ManifestReportEntry { path, report })
                 .collect(),
         };
-        let json = serde_json::to_string(&out).expect("report serialization cannot fail");
-        println!("{json}");
+        let json = serde_json::to_string(&output).expect("report serialization cannot fail");
+        writeln!(out, "{json}")?;
     } else {
         for (path, report) in &reports {
             for d in report.diagnostics() {
-                println!("{path}: {d}");
+                writeln!(out, "{path}: {d}")?;
             }
         }
-        println!(
+        writeln!(
+            out,
             "{mpath}: {} program(s), {findings} finding(s)",
             reports.len()
-        );
+        )?;
     }
-    if findings == 0 {
+    Ok(if findings == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Parses and runs the `ingest` subcommand: walk a directory of real Rust,
 /// scan + lower it, register the corpus manifest, and print the scan-stats
 /// diff against the paper's §4 distributions.
-fn cmd_ingest(args: &mut Vec<String>) -> ExitCode {
+fn cmd_ingest(args: &mut Vec<String>, out: &mut impl Write) -> io::Result<ExitCode> {
     use rust_safety_study::dataset::compare::compare_scan;
     use rust_safety_study::ingest::{default_corpus_name, ingest};
 
@@ -341,55 +362,56 @@ fn cmd_ingest(args: &mut Vec<String>) -> ExitCode {
             .ok_or_else(|| "ingest: missing <dir>".to_owned())?;
         Ok((std::path::PathBuf::from(root), out, name, json))
     })();
-    let (root, out, name, json) = match parsed {
+    let (root, out_dir, name, json) = match parsed {
         Ok(p) => p,
-        Err(e) => return usage_error(&e),
+        Err(e) => return Ok(usage_error(&e)),
     };
     let name = name.unwrap_or_else(|| default_corpus_name(&root));
     let manifest = match ingest(&root, &name) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("ingest: {}: {e}", root.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let diff = compare_scan(&manifest.stats);
     if json {
-        print!("{}", manifest.to_json());
+        write!(out, "{}", manifest.to_json())?;
     } else {
         let s = &manifest.summary;
-        println!(
+        writeln!(
+            out,
             "{name}: scanned {} file(s) ({} skipped), {} unsafe usage(s), \
              lowered {} fn(s) ({} skipped)",
             s.files_scanned, s.files_skipped, s.unsafe_usages, s.fns_lowered, s.fns_skipped
-        );
-        print!("{}", diff.render());
+        )?;
+        write!(out, "{}", diff.render())?;
     }
-    if let Some(dir) = out {
+    if let Some(dir) = out_dir {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!("ingest: {}: {e}", dir.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let path = dir.join("manifest.json");
         if let Err(e) = manifest.save(&path) {
             eprintln!("ingest: {}: {e}", path.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let diff_path = dir.join("stats-diff.json");
         let diff_json =
             serde_json::to_string_pretty(&diff).expect("diff serialization cannot fail");
         if let Err(e) = std::fs::write(&diff_path, diff_json + "\n") {
             eprintln!("ingest: {}: {e}", diff_path.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("wrote {}", path.display());
         eprintln!("wrote {}", diff_path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Parses and runs the `serve` subcommand.
-fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
+fn cmd_serve(args: &mut Vec<String>, out: &mut impl Write) -> io::Result<ExitCode> {
     use rust_safety_study::serve::{install_sigint_handler, serve_stream, ServeConfig, Server};
 
     fn positive(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
@@ -454,7 +476,7 @@ fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
         slow_ms,
     ) = match parsed {
         Ok(p) => p,
-        Err(e) => return usage_error(&e),
+        Err(e) => return Ok(usage_error(&e)),
     };
     let config = ServeConfig {
         workers,
@@ -480,12 +502,11 @@ fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
                 Ok(addr) => {
                     // Both startup banners are machine-read (ci.sh greps the
                     // ephemeral ports out of them); keep the formats stable.
-                    println!("rstudy-serve: listening on {addr}");
+                    writeln!(out, "rstudy-serve: listening on {addr}")?;
                     if let Some(maddr) = server.metrics_addr() {
-                        println!("rstudy-serve: metrics on {maddr}");
+                        writeln!(out, "rstudy-serve: metrics on {maddr}")?;
                     }
-                    use std::io::Write;
-                    let _ = std::io::stdout().flush();
+                    out.flush()?;
                     server.run()
                 }
                 Err(e) => Err(e),
@@ -494,29 +515,30 @@ fn cmd_serve(args: &mut Vec<String>) -> ExitCode {
         }
     };
     match served {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) => Ok(ExitCode::SUCCESS),
         Err(e) => {
             eprintln!("serve: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
 /// Prints the telemetry trace event log (used by `check --trace`).
-fn print_trace_events() {
+fn print_trace_events(out: &mut impl Write) -> io::Result<()> {
     if !rstudy_telemetry::tracing() {
-        return;
+        return Ok(());
     }
     let snap = rstudy_telemetry::snapshot();
     for e in &snap.events {
-        println!("  {}", e.message);
+        writeln!(out, "  {}", e.message)?;
     }
     if snap.events_dropped > 0 {
-        println!("  ... {} trace event(s) dropped", snap.events_dropped);
+        writeln!(out, "  ... {} trace event(s) dropped", snap.events_dropped)?;
     }
+    Ok(())
 }
 
-fn cmd_run(args: &mut Vec<String>) -> ExitCode {
+fn cmd_run(args: &mut Vec<String>, trace: bool, out: &mut impl Write) -> io::Result<ExitCode> {
     fn integer(args: &mut Vec<String>, name: &str) -> Result<Option<u64>, String> {
         match take_value(args, name)? {
             None => Ok(None),
@@ -528,7 +550,7 @@ fn cmd_run(args: &mut Vec<String>) -> ExitCode {
     }
 
     let mut config = InterpreterConfig::default();
-    if take_flag(args, "--trace") {
+    if trace {
         config.trace_tail = 32;
     }
     let parsed = (|| {
@@ -545,200 +567,201 @@ fn cmd_run(args: &mut Vec<String>) -> ExitCode {
     })();
     let path = match parsed {
         Ok(p) => p,
-        Err(e) => return usage_error(&e),
+        Err(e) => return Ok(usage_error(&e)),
     };
     let program = match load(&path) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     let outcome = Interpreter::new(&program).with_config(config).run();
-    println!("steps: {}", outcome.steps);
+    writeln!(out, "steps: {}", outcome.steps)?;
     if config.trace_tail > 0 {
-        println!("trace (last {} steps):", outcome.trace.len());
+        writeln!(out, "trace (last {} steps):", outcome.trace.len())?;
         for step in &outcome.trace {
-            println!("  interp: {step}");
+            writeln!(out, "  interp: {step}")?;
         }
     }
     for r in &outcome.races {
-        println!("{r}");
+        writeln!(out, "{r}")?;
     }
     if outcome.leaked_heap_blocks > 0 {
-        println!("leaked heap blocks: {}", outcome.leaked_heap_blocks);
+        writeln!(out, "leaked heap blocks: {}", outcome.leaked_heap_blocks)?;
     }
-    match &outcome.fault {
+    let clean = match &outcome.fault {
         Some(f) => {
-            println!("fault: {f}");
-            ExitCode::FAILURE
+            writeln!(out, "fault: {f}")?;
+            false
         }
         None => {
-            println!("returned: {:?}", outcome.return_value);
-            if outcome.races.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            writeln!(out, "returned: {:?}", outcome.return_value)?;
+            outcome.races.is_empty()
         }
-    }
+    };
+    Ok(if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
-fn cmd_lint(args: &mut Vec<String>) -> ExitCode {
-    // `main` already turned tracing on for `--trace`.
-    take_flag(args, "--trace");
+fn cmd_lint(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     if let Err(e) = reject_unknown("lint", args, 1) {
-        return usage_error(&e);
+        return Ok(usage_error(&e));
     }
     let Some(path) = args.first() else {
         eprintln!("lint: missing <file.mir>");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     };
     let program = match load(path) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
     for (name, body) in program.iter() {
         let sections = lints::critical_sections(body);
         for s in sections {
             let released: Vec<String> = s.released_at.iter().map(|l| l.to_string()).collect();
-            println!(
+            writeln!(
+                out,
                 "{name}: lock acquired at {} (guard {}) — implicit unlock at {}",
                 s.acquired_at,
                 s.guard,
                 released.join(", ")
-            );
+            )?;
         }
     }
     for h in lints::blocking_in_critical_section(&program) {
-        println!(
+        writeln!(
+            out,
             "{}: blocking `{}` at {} while a lock is held",
             h.function, h.operation, h.location
-        );
+        )?;
     }
     for c in lints::interior_mutability_calls(&program) {
-        println!(
+        writeln!(
+            out,
             "{}: call to interior-mutability function `{}` at {} — review its synchronization",
             c.caller, c.callee, c.location
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_scan(args: &mut Vec<String>) -> ExitCode {
-    // `main` already turned tracing on for `--trace`.
-    take_flag(args, "--trace");
+fn cmd_scan(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     if let Err(e) = reject_unknown("scan", args, usize::MAX) {
-        return usage_error(&e);
+        return Ok(usage_error(&e));
     }
     if args.is_empty() {
         eprintln!("scan: missing <path>...");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     // A path that does not exist is an error, not a tree without unsafe code.
     for a in args.iter() {
         if let Err(e) = std::fs::metadata(a) {
             eprintln!("scan: {a}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     }
     let mut stats = rust_safety_study::scan::stats::ScanStats::default();
     for a in args.iter() {
-        scan_path(Path::new(a), &mut stats);
+        scan_path(Path::new(a), &mut stats, out)?;
     }
-    print!("{}", stats.render());
-    ExitCode::SUCCESS
+    write!(out, "{}", stats.render())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn scan_path(path: &Path, stats: &mut rust_safety_study::scan::stats::ScanStats) {
+fn scan_path(
+    path: &Path,
+    stats: &mut rust_safety_study::scan::stats::ScanStats,
+    out: &mut impl Write,
+) -> io::Result<()> {
     use rust_safety_study::scan::{scan_source, stats::ScanStats};
     if path.is_dir() {
         if let Ok(entries) = std::fs::read_dir(path) {
             for e in entries.flatten() {
-                scan_path(&e.path(), stats);
+                scan_path(&e.path(), stats, out)?;
             }
         }
     } else if path.extension().is_some_and(|e| e == "rs") {
         if let Ok(src) = std::fs::read_to_string(path) {
             let usages = scan_source(&src);
             for u in &usages {
-                println!(
+                writeln!(
+                    out,
                     "{}:{}: unsafe {:?} ({:?})",
                     path.display(),
                     u.line,
                     u.kind,
                     u.purpose
-                );
+                )?;
             }
             stats.merge(&ScanStats::from_usages(&usages));
         }
     }
+    Ok(())
 }
 
-fn cmd_report(args: &mut Vec<String>) -> ExitCode {
+fn cmd_report(args: &mut Vec<String>, out: &mut impl Write) -> io::Result<ExitCode> {
     use rust_safety_study::dataset;
-    // `main` already turned tracing on for `--trace`.
-    take_flag(args, "--trace");
     let json = take_flag(args, "--json");
     if let Err(e) = reject_unknown("report", args, 0) {
-        return usage_error(&e);
+        return Ok(usage_error(&e));
     }
     if json {
         match dataset::export::DatasetBundle::build().to_json() {
-            Ok(json) => println!("{json}"),
+            Ok(json) => writeln!(out, "{json}")?,
             Err(e) => {
                 eprintln!("report: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    print!("{}", dataset::tables::render_table1());
-    println!();
-    print!("{}", dataset::tables::render_table2());
-    println!();
-    print!("{}", dataset::tables::render_table3());
-    println!();
-    print!("{}", dataset::tables::render_table4());
-    println!();
-    print!("{}", dataset::figures::render_figure1());
-    println!();
-    print!("{}", dataset::figures::render_figure2());
-    println!();
-    print!("{}", dataset::unsafe_usages::render());
-    ExitCode::SUCCESS
+    for section in [
+        dataset::tables::render_table1(),
+        dataset::tables::render_table2(),
+        dataset::tables::render_table3(),
+        dataset::tables::render_table4(),
+        dataset::figures::render_figure1(),
+        dataset::figures::render_figure2(),
+    ] {
+        writeln!(out, "{section}")?;
+    }
+    write!(out, "{}", dataset::unsafe_usages::render())?;
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_corpus(args: &mut Vec<String>) -> ExitCode {
+fn cmd_corpus(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
     use rust_safety_study::corpus::all_entries;
-    // `main` already turned tracing on for `--trace`.
-    take_flag(args, "--trace");
     if let Err(e) = reject_unknown("corpus", args, 1) {
-        return usage_error(&e);
+        return Ok(usage_error(&e));
     }
     match args.first() {
         None => {
             for e in all_entries() {
-                println!(
+                writeln!(
+                    out,
                     "{:<28} static={:<40} {}",
                     e.name,
                     format!("{:?}", e.static_bugs),
                     e.description
-                );
+                )?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some(name) => match all_entries().into_iter().find(|e| e.name == *name) {
             Some(e) => {
-                print!("{}", e.source.trim_start());
-                ExitCode::SUCCESS
+                write!(out, "{}", e.source.trim_start())?;
+                Ok(ExitCode::SUCCESS)
             }
             None => {
                 eprintln!("corpus: no entry named `{name}`");
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         },
     }

@@ -402,6 +402,62 @@ fn every_command_rejects_arguments_it_does_not_take() {
 }
 
 #[test]
+fn trace_is_accepted_by_every_command() {
+    let uaf = &mir_path("use_after_free.mir")[..];
+    let examples = &mir_path("")[..];
+    for args in [
+        &["check", uaf][..],
+        &["run", uaf],
+        &["lint", uaf],
+        &["scan", examples],
+        &["ingest", examples],
+        &["report"],
+        &["corpus", "uaf_heap"],
+        &["serve", "--stdin"],
+    ] {
+        let out = bin()
+            .args(args)
+            .arg("--trace")
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(2), "{args:?} --trace: {stderr}");
+        assert!(!stderr.contains("--trace"), "{args:?} --trace: {stderr}");
+    }
+}
+
+/// A reader that stops early (`corpus | head -1`) closes stdout before the
+/// command writes: the command must end quietly, not panic.
+#[test]
+fn a_closed_stdout_ends_each_command_without_a_panic() {
+    use std::process::Stdio;
+    let buggy = &mir_path("serve_smoke_buggy.mir")[..];
+    let lock = &mir_path("double_lock.mir")[..];
+    let examples = &mir_path("")[..];
+    for args in [
+        &["corpus"][..],
+        &["report"],
+        &["report", "--json"],
+        &["check", buggy, "--json"],
+        &["lint", lock],
+        &["scan", examples],
+    ] {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn check_json_is_deterministic_and_machine_readable() {
     let run = || {
         bin()

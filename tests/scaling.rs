@@ -1,16 +1,22 @@
 //! Scaling gates that count work, not time.
 //!
 //! The points-to solver reports the set insertions each solve attempted
-//! (`PointsTo::work`). Counts are exact and show growth at small sizes, so
-//! these gates run in a debug build without timing noise: a solver that
-//! goes quadratic on a chain reads ~16× from n to 4n instead of ~4×, and
-//! one that re-sends whole sets exceeds the bound on useful work.
+//! (`PointsTo::work`), and an `AnalysisContext` the function visits its
+//! interprocedural summaries made (`summary_visits`). Counts are exact and
+//! show growth at small sizes, so these gates run in a debug build without
+//! timing noise: a solver that goes quadratic on a chain reads ~16× from n
+//! to 4n instead of ~4×, and one that re-sends whole sets exceeds the bound
+//! on useful work.
 
 use std::collections::BTreeSet;
 
 use rust_safety_study::analysis::points_to::{MemRoot, PointsTo};
+use rust_safety_study::core::config::DetectorConfig;
+use rust_safety_study::core::detectors::{AnalysisContext, Detector, LockOrderInversion};
 use rust_safety_study::mir::build::BodyBuilder;
-use rust_safety_study::mir::{Body, Local, Mutability, Operand, Place, Rvalue, Ty};
+use rust_safety_study::mir::{
+    Body, Intrinsic, Local, Mutability, Operand, Place, Program, Rvalue, Ty,
+};
 
 #[derive(Debug, Clone, Copy)]
 enum Shape {
@@ -113,4 +119,158 @@ fn points_to_work_is_bounded_by_facts_and_statements() {
             );
         }
     }
+}
+
+/// The interprocedural probes: a chain of `n` functions below `main`, each
+/// passing its arguments on to the next.
+#[derive(Debug, Clone, Copy)]
+enum ChainShape {
+    /// `fK(p: *const int) -> int`; the last one reads `(*p)`, and `main`
+    /// passes `&raw const` of a local.
+    Call,
+    /// `fK(p: &Mutex<int>)`; the last one locks `p` and drops the guard.
+    Lock,
+    /// `fK(a: &Mutex<int>, b: &Mutex<int>)`; the last one locks `a`, then
+    /// `b` with `a` held. `main` calls the head with `(&m, &n)` and again
+    /// with `(&n, &m)`: one lock-order inversion.
+    LockOrder,
+}
+
+/// The chain named `f00000`, `f00001`, … from its head, so that callers
+/// sort before their callees; `reversed` numbers it from the tail.
+fn chain(shape: ChainShape, n: usize, reversed: bool) -> Program {
+    let name = |k: usize| format!("f{:05}", if reversed { n - 1 - k } else { k });
+    let mutex = || Ty::Mutex(Box::new(Ty::Int));
+    let guard = || Ty::Guard(Box::new(Ty::Int));
+    let (arity, ret) = match shape {
+        ChainShape::Call => (1, Ty::Int),
+        ChainShape::Lock => (1, Ty::Unit),
+        ChainShape::LockOrder => (2, Ty::Unit),
+    };
+    let mut bodies: Vec<Body> = (0..n)
+        .map(|k| {
+            let mut b = BodyBuilder::new(name(k), arity, ret.clone());
+            let params: Vec<Local> = (0..arity)
+                .map(|i| match shape {
+                    ChainShape::Call => b.arg("p", Ty::const_ptr(Ty::Int)),
+                    _ => b.arg(format!("a{i}"), Ty::shared_ref(mutex())),
+                })
+                .collect();
+            if k + 1 < n {
+                let args = params.iter().map(|&p| Operand::copy(p)).collect();
+                b.call_fn_cont(name(k + 1), args, Place::RETURN);
+            } else if let ChainShape::Call = shape {
+                let pointee = Place::from_local(params[0]).deref();
+                b.in_unsafe(|b| b.assign(Place::RETURN, Rvalue::Use(Operand::Copy(pointee))));
+            } else {
+                let guards: Vec<Local> = params
+                    .iter()
+                    .map(|&p| {
+                        let g = b.local(format!("g{}", p.index()), guard());
+                        b.storage_live(g);
+                        b.call_intrinsic_cont(Intrinsic::MutexLock, vec![Operand::copy(p)], g);
+                        g
+                    })
+                    .collect();
+                guards.iter().rev().for_each(|&g| b.storage_dead(g));
+            }
+            b.ret();
+            b.finish()
+        })
+        .collect();
+    let head = name(0);
+    let mut main = BodyBuilder::new("main", 0, Ty::Int);
+    if let ChainShape::Call = shape {
+        let x = main.local("x", Ty::Int);
+        let p = main.local("p", Ty::const_ptr(Ty::Int));
+        main.storage_live(x);
+        main.assign(x, Rvalue::Use(Operand::int(7)));
+        main.storage_live(p);
+        main.assign(p, Rvalue::AddrOf(Mutability::Not, x.into()));
+        main.call_fn_cont(head, vec![Operand::copy(p)], Place::RETURN);
+    } else {
+        let refs: Vec<Local> = (0..arity)
+            .map(|i| {
+                let m = main.local(format!("m{i}"), mutex());
+                let r = main.local(format!("r{i}"), Ty::shared_ref(mutex()));
+                main.storage_live(m);
+                main.call_intrinsic_cont(Intrinsic::MutexNew, vec![Operand::int(0)], m);
+                main.storage_live(r);
+                main.assign(r, Rvalue::Ref(Mutability::Not, m.into()));
+                r
+            })
+            .collect();
+        let args: Vec<Operand> = refs.iter().map(|&r| Operand::copy(r)).collect();
+        main.call_fn_cont(head.clone(), args.clone(), Place::RETURN);
+        if arity == 2 {
+            let swapped = args.into_iter().rev().collect();
+            main.call_fn_cont(head, swapped, Place::RETURN);
+        }
+    }
+    main.ret();
+    bodies.push(main.finish());
+    Program::from_bodies(bodies)
+}
+
+/// `n` functions `fK(p: *const int) -> int` in a cycle, each passing `p`
+/// on to the next; `f00000` also reads `(*p)`, so the fact travels once
+/// around the ring.
+fn ring(n: usize) -> Program {
+    Program::from_bodies((0..n).map(|k| {
+        let mut b = BodyBuilder::new(format!("f{k:05}"), 1, Ty::Int);
+        let p = b.arg("p", Ty::const_ptr(Ty::Int));
+        if k == 0 {
+            let pointee = Place::from_local(p).deref();
+            b.in_unsafe(|b| b.assign(Place::RETURN, Rvalue::Use(Operand::Copy(pointee))));
+        }
+        let next = format!("f{:05}", (k + 1) % n);
+        b.call_fn_cont(next, vec![Operand::copy(p)], Place::RETURN);
+        b.ret();
+        b.finish()
+    }))
+}
+
+/// The summary driver's function visits on `program`: for the deref
+/// summaries, and for the lock facts and lock-order edges together. Also
+/// returns the lock-order findings.
+fn summary_visits(program: &Program) -> (u64, u64, usize) {
+    let cx = AnalysisContext::new(program);
+    cx.summaries();
+    let derefs = cx.summary_visits();
+    let inversions = LockOrderInversion.check_global(&cx, &DetectorConfig::new());
+    (derefs, cx.summary_visits() - derefs, inversions.len())
+}
+
+#[test]
+fn summaries_visit_each_function_once_on_call_chains() {
+    for shape in [ChainShape::Call, ChainShape::Lock, ChainShape::LockOrder] {
+        for reversed in [false, true] {
+            for n in SIZES {
+                let program = chain(shape, n, reversed);
+                let fns = program.len() as u64;
+                let (derefs, locks, inversions) = summary_visits(&program);
+                let label = format!("{shape:?} (reversed: {reversed}) at n = {n}");
+                assert!(
+                    derefs <= fns && locks <= 2 * fns,
+                    "{label}: {derefs} deref and {locks} lock visits for {fns} functions"
+                );
+                let expected = usize::from(matches!(shape, ChainShape::LockOrder));
+                assert_eq!(inversions, expected, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn summary_visits_on_a_ring_grow_linearly() {
+    let [small, large] = SIZES.map(|n| {
+        let (derefs, locks, _) = summary_visits(&ring(n));
+        derefs + locks
+    });
+    assert!(
+        large <= 5 * small,
+        "{small} visits at n = {} but {large} at n = {}",
+        SIZES[0],
+        SIZES[1]
+    );
 }
