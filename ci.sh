@@ -32,6 +32,12 @@ cargo test -q -p serde_json
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== cargo test --release =="
+# The suite again with optimizations on: a test that passes only because
+# the debug build is slow (a deadline it expects an analysis to miss, say)
+# fails here.
+cargo test --release -q --workspace
+
 echo "== benchmark package tests =="
 # e2ebench/ depends on the workspace by path but is not a member, so the
 # workspace build above does not compile it: a public name it uses could

@@ -2,8 +2,9 @@
 //! function body.
 //!
 //! Every detector in the suite needs some mix of storage liveness,
-//! maybe-freed/maybe-invalid facts, points-to sets, dereference sites,
-//! lock-guard ranges and the whole-program call graph. Run standalone, each
+//! maybe-freed/maybe-invalid/maybe-uninit facts, constants, nullness,
+//! points-to sets, dereference sites, lock-guard ranges and the
+//! whole-program call graph. Run standalone, each
 //! detector recomputes those from scratch; run as a suite that is up to
 //! tenfold duplicated work. An [`AnalysisCache`] computes each fact at most
 //! once per body, on first use, and hands out shared references.
@@ -19,12 +20,13 @@ use std::sync::{Arc, OnceLock};
 use rstudy_mir::{Body, Program};
 
 use crate::callgraph::CallGraph;
-use crate::dataflow::Results;
-use crate::deref::{deref_sites, DerefSite};
+use crate::const_prop::ConstProp;
+use crate::dataflow::{solve, Results};
+use crate::deref::{deref_sites, DerefSite, MaybeNull};
 use crate::heap::{HeapModel, HeapState};
 use crate::locks::{lock_acquisitions, Acquisition, HeldGuards};
 use crate::points_to::PointsTo;
-use crate::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead};
+use crate::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead, MaybeUninit};
 
 /// Lazily-computed facts for one function body.
 #[derive(Default)]
@@ -38,6 +40,9 @@ struct BodyFacts {
     deref_sites: OnceLock<Vec<DerefSite>>,
     heap_model: OnceLock<Arc<HeapModel>>,
     heap_state: OnceLock<Results<HeapState>>,
+    const_prop: OnceLock<Results<ConstProp>>,
+    maybe_null: OnceLock<Results<MaybeNull>>,
+    maybe_uninit: OnceLock<Results<MaybeUninit>>,
 }
 
 /// Memoized per-body and whole-program analysis results for one [`Program`].
@@ -125,25 +130,25 @@ impl<'p> AnalysisCache<'p> {
     /// Storage-liveness (maybe-storage-dead) facts for `function`.
     pub fn storage_dead(&self, function: &str) -> &Results<MaybeStorageDead> {
         let (facts, body) = self.facts(function);
-        self.memo(&facts.storage_dead, || MaybeStorageDead::solve(body))
+        self.memo(&facts.storage_dead, || solve(MaybeStorageDead, body))
     }
 
     /// Maybe-freed facts for `function`.
     pub fn maybe_freed(&self, function: &str) -> &Results<MaybeFreed> {
         let (facts, body) = self.facts(function);
-        self.memo(&facts.maybe_freed, || MaybeFreed::solve(body))
+        self.memo(&facts.maybe_freed, || solve(MaybeFreed, body))
     }
 
     /// Maybe-invalidated facts for `function`.
     pub fn maybe_invalid(&self, function: &str) -> &Results<MaybeInvalid> {
         let (facts, body) = self.facts(function);
-        self.memo(&facts.maybe_invalid, || MaybeInvalid::solve(body))
+        self.memo(&facts.maybe_invalid, || solve(MaybeInvalid, body))
     }
 
     /// Lock-guard live ranges for `function`.
     pub fn held_guards(&self, function: &str) -> &Results<HeldGuards> {
         let (facts, body) = self.facts(function);
-        self.memo(&facts.held_guards, || HeldGuards::solve(body))
+        self.memo(&facts.held_guards, || solve(HeldGuards, body))
     }
 
     /// Lock acquisition sites of `function`, in body order.
@@ -171,8 +176,27 @@ impl<'p> AnalysisCache<'p> {
     pub fn heap_state(&self, function: &str) -> &Results<HeapState> {
         let (facts, body) = self.facts(function);
         self.memo(&facts.heap_state, || {
-            HeapState::new(self.heap_model(function), self.points_to(function)).solve(body)
+            let heap = HeapState::new(self.heap_model(function), self.points_to(function));
+            solve(heap, body)
         })
+    }
+
+    /// Integer constants known at each point of `function`.
+    pub fn const_prop(&self, function: &str) -> &Results<ConstProp> {
+        let (facts, body) = self.facts(function);
+        self.memo(&facts.const_prop, || solve(ConstProp, body))
+    }
+
+    /// Maybe-null pointer facts for `function`.
+    pub fn maybe_null(&self, function: &str) -> &Results<MaybeNull> {
+        let (facts, body) = self.facts(function);
+        self.memo(&facts.maybe_null, || solve(MaybeNull, body))
+    }
+
+    /// Maybe-uninitialized facts for `function`.
+    pub fn maybe_uninit(&self, function: &str) -> &Results<MaybeUninit> {
+        let (facts, body) = self.facts(function);
+        self.memo(&facts.maybe_uninit, || solve(MaybeUninit, body))
     }
 
     /// The whole-program call graph.
@@ -233,11 +257,11 @@ mod tests {
             assert_eq!(*cache.points_to(name), PointsTo::analyze(body));
             assert_eq!(
                 cache.storage_dead(name).boundary,
-                MaybeStorageDead::solve(body).boundary
+                solve(MaybeStorageDead, body).boundary
             );
             assert_eq!(
                 cache.held_guards(name).boundary,
-                HeldGuards::solve(body).boundary
+                solve(HeldGuards, body).boundary
             );
         }
     }

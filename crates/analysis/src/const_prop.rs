@@ -13,7 +13,7 @@ use rstudy_mir::{
     TerminatorKind, UnOp,
 };
 
-use crate::dataflow::{self, Analysis, Results};
+use crate::dataflow::Analysis;
 
 /// The flat constant lattice: unknown (⊥ / ⊤ collapsed) or a known value.
 ///
@@ -25,13 +25,6 @@ pub type ConstMap = BTreeMap<Local, i64>;
 /// The constant-propagation dataflow problem.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConstProp;
-
-impl ConstProp {
-    /// Solves constant propagation for `body`.
-    pub fn solve(body: &Body) -> Results<ConstProp> {
-        dataflow::solve(ConstProp, body)
-    }
-}
 
 /// Evaluates an operand under a constant environment.
 pub fn eval_operand(state: &ConstMap, op: &Operand) -> Option<i64> {
@@ -148,6 +141,16 @@ mod tests {
         }
     }
 
+    /// The constants known before `loc` of a reachable point.
+    fn consts_before(body: &Body, loc: Location) -> ConstMap {
+        let results = crate::dataflow::solve(ConstProp, body);
+        results
+            .cursor(body)
+            .seek_before(loc)
+            .clone()
+            .expect("reachable")
+    }
+
     #[test]
     fn straightline_arithmetic_folds() {
         let mut b = BodyBuilder::new("f", 0, Ty::Unit);
@@ -161,8 +164,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = ConstProp::solve(&body);
-        let state = r.state_before(&body, loc(0, 2)).expect("reachable");
+        let state = consts_before(&body, loc(0, 2));
         assert_eq!(state.get(&x), Some(&5));
         assert_eq!(state.get(&y), Some(&15));
     }
@@ -183,16 +185,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = ConstProp::solve(&body);
-        let state = r
-            .state_before(
-                &body,
-                Location {
-                    block: join,
-                    statement_index: 0,
-                },
-            )
-            .expect("reachable");
+        let state = consts_before(&body, loc(join.0, 0));
         assert_eq!(state.get(&x), None);
     }
 
@@ -211,16 +204,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = ConstProp::solve(&body);
-        let state = r
-            .state_before(
-                &body,
-                Location {
-                    block: join,
-                    statement_index: 0,
-                },
-            )
-            .expect("reachable");
+        let state = consts_before(&body, loc(join.0, 0));
         assert_eq!(state.get(&x), Some(&7));
     }
 
@@ -233,8 +217,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = ConstProp::solve(&body);
-        let state = r.state_before(&body, loc(1, 0)).expect("reachable");
+        let state = consts_before(&body, loc(1, 0));
         assert_eq!(state.get(&x), None);
     }
 
@@ -249,10 +232,6 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = ConstProp::solve(&body);
-        assert_eq!(
-            r.state_before(&body, loc(0, 1)).expect("reachable").get(&x),
-            None
-        );
+        assert_eq!(consts_before(&body, loc(0, 1)).get(&x), None);
     }
 }

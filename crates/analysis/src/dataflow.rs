@@ -2,8 +2,12 @@
 //!
 //! Analyses implement [`Analysis`]; [`solve`] iterates block transfer
 //! functions from the entry to a fixpoint and returns each block's entry
-//! state in a [`Results`], which can replay transfers to recover the state
-//! before any individual [`Location`].
+//! state in a [`Results`]. A [`Cursor`] over those results recovers the
+//! state before any [`Location`]: it walks forward within a block and
+//! restarts from the block's entry state on any other seek, so visiting a
+//! body's sites in location order costs one transfer per statement.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rstudy_mir::visit::Location;
 use rstudy_mir::{BasicBlock, Body, Statement, Terminator};
@@ -14,11 +18,6 @@ use crate::cfg::Cfg;
 pub trait Analysis {
     /// The abstract state tracked per program point.
     type Domain: Clone + PartialEq;
-
-    /// Short name used for telemetry keys (`analysis.<name>.*`).
-    fn name(&self) -> &'static str {
-        "dataflow"
-    }
 
     /// The least element (state assumed before anything is known).
     fn bottom(&self, body: &Body) -> Self::Domain;
@@ -41,12 +40,14 @@ pub trait Analysis {
 }
 
 /// Fixpoint results: one entry state per block.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Results<A: Analysis> {
     /// The analysis instance (kept to replay transfers).
     pub analysis: A,
     /// Per-block entry state, indexed by block.
     pub boundary: Vec<A::Domain>,
+    /// Transfers applied so far: the solve's, then every cursor's.
+    work: AtomicU64,
 }
 
 impl<A: Analysis> Results<A> {
@@ -55,21 +56,60 @@ impl<A: Analysis> Results<A> {
         &self.boundary[bb.index()]
     }
 
-    /// The state *before* the instruction at `loc` executes.
-    pub fn state_before(&self, body: &Body, loc: Location) -> A::Domain {
-        let data = body.block(loc.block);
-        let mut state = self.boundary[loc.block.index()].clone();
-        for (i, stmt) in data.statements.iter().enumerate().take(loc.statement_index) {
-            self.analysis.apply_statement(
-                &mut state,
-                stmt,
-                Location {
-                    block: loc.block,
-                    statement_index: i,
-                },
-            );
+    /// A cursor over these results for `body`, the body they were solved on.
+    pub fn cursor<'r>(&'r self, body: &'r Body) -> Cursor<'r, A> {
+        Cursor {
+            results: self,
+            body,
+            state: self.analysis.bottom(body),
+            at: None,
         }
-        state
+    }
+
+    /// The statement and terminator transfers made for these results: the
+    /// solve's passes plus every cursor walk so far.
+    pub fn work(&self) -> u64 {
+        self.work.load(Ordering::Relaxed)
+    }
+}
+
+/// Reads the state before each location of one body, after rustc's
+/// `ResultsCursor`: it moves forward within a block and restarts from the
+/// block's entry state on any other seek, so its answers never depend on
+/// the order of seeks, and seeks in location order cost one transfer per
+/// statement.
+pub struct Cursor<'r, A: Analysis> {
+    results: &'r Results<A>,
+    body: &'r Body,
+    state: A::Domain,
+    /// The location `state` is the state before, once a seek set it.
+    at: Option<Location>,
+}
+
+impl<A: Analysis> Cursor<'_, A> {
+    /// The state *before* the instruction at `loc` executes.
+    pub fn seek_before(&mut self, loc: Location) -> &A::Domain {
+        let from = match self.at {
+            Some(at) if at.block == loc.block && at.statement_index <= loc.statement_index => {
+                at.statement_index
+            }
+            _ => {
+                self.state
+                    .clone_from(self.results.boundary_state(loc.block));
+                0
+            }
+        };
+        let applied = transfer(
+            &self.results.analysis,
+            self.body,
+            loc.block,
+            &mut self.state,
+            from,
+            loc.statement_index,
+        );
+        self.results.work.fetch_add(applied, Ordering::Relaxed);
+        self.at = Some(loc);
+        &self.state
     }
 }
 
@@ -90,13 +130,15 @@ pub fn solve<A: Analysis>(analysis: A, body: &Body) -> Results<A> {
     let mut iterations = 0usize;
     let mut block_visits = 0u64;
     let mut joins_changed = 0u64;
+    let mut work = 0u64;
     while changed {
         changed = false;
         iterations += 1;
         for &bb in &order {
-            // Compute this block's exit state by replaying its transfers.
+            // This block's exit state: its entry state through every transfer.
             block_visits += 1;
-            let out = block_exit_state(&analysis, body, bb, &boundary[bb.index()]);
+            let mut out = boundary[bb.index()].clone();
+            work += transfer(&analysis, body, bb, &mut out, 0, usize::MAX);
             for &next in cfg.successors(bb) {
                 if analysis.join(&mut boundary[next.index()], &out) {
                     changed = true;
@@ -106,48 +148,45 @@ pub fn solve<A: Analysis>(analysis: A, body: &Body) -> Results<A> {
         }
     }
 
-    // The lazy-name variants only build their `format!` strings when
-    // telemetry is enabled, so this block costs one atomic load per solve
-    // on unprofiled runs.
-    let name = analysis.name();
-    rstudy_telemetry::counter_with(|| format!("analysis.{name}.solves"), 1);
-    rstudy_telemetry::counter_with(|| format!("analysis.{name}.block_visits"), block_visits);
-    rstudy_telemetry::counter_with(|| format!("analysis.{name}.worklist_pushes"), joins_changed);
-    rstudy_telemetry::record_with(|| format!("analysis.{name}.iterations"), iterations as u64);
+    rstudy_telemetry::counter("analysis.dataflow.solves", 1);
+    rstudy_telemetry::counter("analysis.dataflow.block_visits", block_visits);
+    rstudy_telemetry::counter("analysis.dataflow.worklist_pushes", joins_changed);
+    rstudy_telemetry::record("analysis.dataflow.iterations", iterations as u64);
 
-    Results { analysis, boundary }
+    Results {
+        analysis,
+        boundary,
+        work: AtomicU64::new(work),
+    }
 }
 
-/// Applies all of `bb`'s transfers, in program order, to `input`.
-fn block_exit_state<A: Analysis>(
+/// Applies the transfers of `bb`'s instructions `from..to` to `state`, in
+/// program order, and returns how many it applied. Index
+/// `statements.len()` is the terminator, so any larger `to` ends after it.
+fn transfer<A: Analysis>(
     analysis: &A,
     body: &Body,
     bb: BasicBlock,
-    input: &A::Domain,
-) -> A::Domain {
+    state: &mut A::Domain,
+    from: usize,
+    to: usize,
+) -> u64 {
     let data = body.block(bb);
-    let mut state = input.clone();
-    for (i, stmt) in data.statements.iter().enumerate() {
-        analysis.apply_statement(
-            &mut state,
-            stmt,
-            Location {
-                block: bb,
-                statement_index: i,
-            },
-        );
+    let end = to.min(data.statements.len());
+    let loc = |statement_index| Location {
+        block: bb,
+        statement_index,
+    };
+    let mut applied = 0;
+    for (i, stmt) in data.statements.iter().enumerate().take(end).skip(from) {
+        analysis.apply_statement(state, stmt, loc(i));
+        applied += 1;
     }
-    if let Some(term) = &data.terminator {
-        analysis.apply_terminator(
-            &mut state,
-            term,
-            Location {
-                block: bb,
-                statement_index: data.statements.len(),
-            },
-        );
+    if let Some(term) = data.terminator.as_ref().filter(|_| from <= end && end < to) {
+        analysis.apply_terminator(state, term, loc(end));
+        applied += 1;
     }
-    state
+    applied
 }
 
 #[cfg(test)]
@@ -211,18 +250,34 @@ mod tests {
     }
 
     #[test]
-    fn state_before_replays_statements() {
+    fn cursor_walks_forward_and_restarts_on_a_backward_seek() {
         let mut b = BodyBuilder::new("f", 0, Ty::Unit);
         let x = b.local("x", Ty::Int);
+        let y = b.local("y", Ty::Int);
         b.assign(x, Rvalue::Use(Operand::int(1)));
+        b.assign(y, Rvalue::Use(Operand::int(2)));
         b.ret();
         let body = b.finish();
         let results = solve(Assigned, &body);
-        let loc = Location {
+        // One pass over the block's two statements and its terminator.
+        assert_eq!(results.work(), 3);
+        let at = |statement_index| Location {
             block: rstudy_mir::BasicBlock(0),
-            statement_index: 0,
+            statement_index,
         };
-        assert!(!results.state_before(&body, loc).contains(x.index()));
+        let mut cursor = results.cursor(&body);
+        assert!(cursor.seek_before(at(0)).is_empty());
+        assert!(!cursor.seek_before(at(1)).contains(y.index()));
+        assert!(cursor.seek_before(at(2)).contains(y.index()));
+        assert_eq!(
+            results.work(),
+            3 + 2,
+            "forward seeks apply each statement once"
+        );
+        // Seeking backward starts again from the block's entry state.
+        let before_y = cursor.seek_before(at(1));
+        assert!(before_y.contains(x.index()) && !before_y.contains(y.index()));
+        assert_eq!(results.work(), 3 + 2 + 1);
     }
 
     #[test]
@@ -276,7 +331,7 @@ mod tests {
         b.ret();
         let body = b.finish();
 
-        let results = ConstProp::solve(&body);
+        let results = solve(ConstProp, &body);
         let expected: ConstMap = [(flag, 0)].into_iter().collect();
         assert_eq!(results.boundary_state(header), &Some(expected));
     }

@@ -1,11 +1,15 @@
 //! Pointer-dereference sites: every place a body reads or writes memory
-//! through a pointer local.
+//! through a pointer local, and [`MaybeNull`], whether that pointer may be
+//! null there.
 
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
-    Body, Callee, Intrinsic, Local, Operand, Place, Rvalue, SourceInfo, StatementKind,
-    TerminatorKind,
+    Body, Callee, Const, Intrinsic, Local, Operand, Place, Rvalue, SourceInfo, Statement,
+    StatementKind, Terminator, TerminatorKind,
 };
+
+use crate::bitset::BitSet;
+use crate::dataflow::Analysis;
 
 /// One spot where memory behind a pointer local is accessed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,6 +164,54 @@ pub fn deref_sites(body: &Body) -> Vec<DerefSite> {
         }
     }
     out
+}
+
+/// Forward *may* analysis: bit set ⇒ the local may be null. A constant
+/// zero (or its cast) makes a local null, a copy or cast of a maybe-null
+/// local keeps it so, and any other assignment or call result clears it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaybeNull;
+
+impl Analysis for MaybeNull {
+    type Domain = BitSet;
+
+    fn bottom(&self, body: &Body) -> BitSet {
+        BitSet::new(body.locals.len())
+    }
+
+    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
+        into.union_with(from)
+    }
+
+    fn apply_statement(&self, state: &mut BitSet, stmt: &Statement, _loc: Location) {
+        let StatementKind::Assign(place, rv) = &stmt.kind else {
+            return;
+        };
+        if !place.is_local() {
+            return;
+        }
+        let null = match rv {
+            Rvalue::Use(Operand::Const(Const::Int(0)))
+            | Rvalue::Cast(Operand::Const(Const::Int(0)), _) => true,
+            Rvalue::Use(op) | Rvalue::Cast(op, _) => {
+                operand_ptr(op).is_some_and(|l| state.contains(l.index()))
+            }
+            _ => false,
+        };
+        if null {
+            state.insert(place.local.index());
+        } else {
+            state.remove(place.local.index());
+        }
+    }
+
+    fn apply_terminator(&self, state: &mut BitSet, term: &Terminator, _loc: Location) {
+        if let TerminatorKind::Call { destination, .. } = &term.kind {
+            if destination.is_local() {
+                state.remove(destination.local.index());
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,14 @@
 //!
 //! Shared by the use-after-free, double-free, invalid-free and
 //! uninitialized-read detectors. The analysis owns its [`HeapModel`] and
-//! [`PointsTo`] inputs behind [`Arc`]s so solved [`Results`] carry no body
+//! [`PointsTo`] inputs behind [`Arc`]s so solved
+//! [`Results`](crate::dataflow::Results) carry no body
 //! lifetime and can live in the shared [`crate::cache::AnalysisCache`].
 
 use std::sync::Arc;
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Results};
+use crate::dataflow::Analysis;
 use crate::points_to::{MemRoot, PointsTo};
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
@@ -99,11 +100,6 @@ impl HeapState {
         HeapState { model, points_to }
     }
 
-    /// Solves the analysis for `body`.
-    pub fn solve(self, body: &Body) -> Results<HeapState> {
-        dataflow::solve(self, body)
-    }
-
     fn mark(&self, set: &mut BitSet, ptr: Local) {
         for i in self.model.sites_of_pointer(&self.points_to, ptr) {
             set.insert(i);
@@ -184,14 +180,24 @@ impl Analysis for HeapState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::{self, Results};
     use rstudy_mir::build::BodyBuilder;
     use rstudy_mir::{BasicBlock, Ty};
 
     fn solve(body: &Body) -> (Arc<HeapModel>, Results<HeapState>) {
         let model = Arc::new(HeapModel::collect(body));
         let pt = Arc::new(PointsTo::analyze(body));
-        let results = HeapState::new(Arc::clone(&model), pt).solve(body);
+        let results = dataflow::solve(HeapState::new(Arc::clone(&model), pt), body);
         (model, results)
+    }
+
+    /// The heap facts before statement `i` of `block`.
+    fn facts_before(body: &Body, results: &Results<HeapState>, block: u32, i: usize) -> HeapFacts {
+        let loc = Location {
+            block: BasicBlock(block),
+            statement_index: i,
+        };
+        results.cursor(body).seek_before(loc).clone()
     }
 
     /// alloc; ptr::write; dealloc; then observe facts at each stage.
@@ -217,24 +223,12 @@ mod tests {
         assert_eq!(model.len(), 1);
 
         // Right after the write (start of bb2): written, not freed.
-        let after_write = results.state_before(
-            &body,
-            Location {
-                block: BasicBlock(2),
-                statement_index: 0,
-            },
-        );
+        let after_write = facts_before(&body, &results, 2, 0);
         assert!(after_write.written.contains(0));
         assert!(!after_write.freed.contains(0));
 
         // After the dealloc (start of bb3): freed.
-        let after_free = results.state_before(
-            &body,
-            Location {
-                block: BasicBlock(3),
-                statement_index: 0,
-            },
-        );
+        let after_free = facts_before(&body, &results, 3, 0);
         assert!(after_free.freed.contains(0));
     }
 
@@ -254,13 +248,7 @@ mod tests {
         b.ret();
         let body = b.finish();
         let (_, results) = solve(&body);
-        let after = results.state_before(
-            &body,
-            Location {
-                block: BasicBlock(1),
-                statement_index: 2,
-            },
-        );
+        let after = facts_before(&body, &results, 1, 2);
         assert!(after.written.contains(0));
     }
 
@@ -281,13 +269,7 @@ mod tests {
         let (_, results) = solve(&body);
         // Right after the alloc (entry of the following block), the site is
         // not freed even though the loop's previous iteration freed it.
-        let state = results.state_before(
-            &body,
-            Location {
-                block: after_alloc,
-                statement_index: 0,
-            },
-        );
+        let state = facts_before(&body, &results, after_alloc.0, 0);
         assert!(!state.freed.contains(0));
     }
 }

@@ -4,18 +4,20 @@
 //! are built on:
 //!
 //! * a generic forward worklist [`dataflow`] engine over the [`cfg`]'s
-//!   successors in reverse post-order,
-//! * [`storage`] (storage-liveness and maybe-invalid/maybe-freed tracking —
-//!   the facts rustc's `StorageLive`/`StorageDead` markers expose and the
-//!   paper's use-after-free detector consumes), [`heap`] allocation state and
-//!   [`const_prop`],
+//!   successors in reverse post-order, whose results a cursor reads at
+//!   each location by walking every block forward once,
+//! * [`storage`] (storage-liveness and maybe-invalid/maybe-freed/
+//!   maybe-uninit tracking — the facts rustc's `StorageLive`/`StorageDead`
+//!   markers expose and the paper's use-after-free detector consumes),
+//!   [`heap`] allocation state and [`const_prop`],
 //! * [`points_to`] (flow-insensitive Andersen-style, per function, with
 //!   symbolic argument pointees for interprocedural resolution, solved by
 //!   difference propagation so each fact is pushed along each edge once)
-//!   and [`deref`] sites,
+//!   and [`deref`] sites with their maybe-null pointers,
 //! * [`callgraph`] over a whole [`rstudy_mir::Program`],
 //! * [`locks`] (lock-guard live ranges, the double-lock detector's input),
-//! * and the [`cache`] that computes each of those facts once per body.
+//! * and the [`cache`] that computes each of those facts once per body;
+//!   it is the one place outside tests that solves a dataflow.
 
 #![warn(missing_docs)]
 pub mod bitset;

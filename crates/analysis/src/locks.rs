@@ -13,7 +13,7 @@ use rstudy_mir::{
 };
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Results};
+use crate::dataflow::Analysis;
 
 /// How a lock is acquired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -94,13 +94,6 @@ pub fn lock_acquisitions(body: &Body) -> Vec<Acquisition> {
 /// while waiting and returns a fresh guard).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeldGuards;
-
-impl HeldGuards {
-    /// Solves the analysis for `body`.
-    pub fn solve(body: &Body) -> Results<HeldGuards> {
-        dataflow::solve(HeldGuards, body)
-    }
-}
 
 impl Analysis for HeldGuards {
     type Domain = BitSet;
@@ -207,6 +200,16 @@ mod tests {
         Ty::Mutex(Box::new(Ty::Int))
     }
 
+    /// The guards that may be held before statement `i` of block `block`.
+    fn held_before(body: &Body, block: u32, i: usize) -> BitSet {
+        let loc = Location {
+            block: rstudy_mir::BasicBlock(block),
+            statement_index: i,
+        };
+        let results = crate::dataflow::solve(HeldGuards, body);
+        results.cursor(body).seek_before(loc).clone()
+    }
+
     /// Builds: m = mutex::new(0); r = &m; g = mutex::lock(r);
     /// Returns (builder, m, r, g) with the cursor after the lock call.
     fn locked_body() -> (BodyBuilder, Local, Local, Local) {
@@ -243,18 +246,7 @@ mod tests {
         b.nop(); // released here
         b.ret();
         let body = b.finish();
-        let r = HeldGuards::solve(&body);
-        let bb = rstudy_mir::BasicBlock(2);
-        let held_at = |i| {
-            r.state_before(
-                &body,
-                Location {
-                    block: bb,
-                    statement_index: i,
-                },
-            )
-            .contains(g.index())
-        };
+        let held_at = |i| held_before(&body, 2, i).contains(g.index());
         assert!(held_at(0), "held right after lock()");
         assert!(held_at(1), "held before StorageDead");
         assert!(!held_at(2), "released after StorageDead");
@@ -269,15 +261,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = HeldGuards::solve(&body);
-        let after = r.state_before(
-            &body,
-            Location {
-                block: rstudy_mir::BasicBlock(3),
-                statement_index: 0,
-            },
-        );
-        assert!(!after.contains(g.index()));
+        assert!(!held_before(&body, 3, 0).contains(g.index()));
     }
 
     #[test]
@@ -299,15 +283,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = HeldGuards::solve(&body);
-        let last_bb = rstudy_mir::BasicBlock((body.blocks.len() - 1) as u32);
-        let state = r.state_before(
-            &body,
-            Location {
-                block: last_bb,
-                statement_index: 0,
-            },
-        );
+        let state = held_before(&body, body.blocks.len() as u32 - 1, 0);
         assert!(!state.contains(g.index()), "old guard released by wait");
         assert!(state.contains(g2.index()), "wait returns a held guard");
     }
@@ -321,15 +297,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = HeldGuards::solve(&body);
-        let bb = rstudy_mir::BasicBlock(2);
-        let state = r.state_before(
-            &body,
-            Location {
-                block: bb,
-                statement_index: 3,
-            },
-        );
+        let state = held_before(&body, 2, 3);
         assert!(!state.contains(g.index()));
         assert!(state.contains(g2.index()));
     }
@@ -361,15 +329,6 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let res = HeldGuards::solve(&body);
-        assert!(res
-            .state_before(
-                &body,
-                Location {
-                    block: join,
-                    statement_index: 0
-                }
-            )
-            .contains(g.index()));
+        assert!(held_before(&body, join.0, 0).contains(g.index()));
     }
 }

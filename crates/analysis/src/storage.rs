@@ -3,7 +3,7 @@
 //! These mirror the facts the paper's use-after-free detector extracts from
 //! MIR: a local's storage window (`StorageLive`..`StorageDead`) and whether
 //! its value may have been invalidated (dropped, moved out, or never
-//! initialized).
+//! initialized), plus the uninitialized-read detector's [`MaybeUninit`].
 
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
@@ -11,7 +11,7 @@ use rstudy_mir::{
 };
 
 use crate::bitset::BitSet;
-use crate::dataflow::{self, Analysis, Results};
+use crate::dataflow::Analysis;
 
 /// Forward *may* analysis: bit set ⇒ the local's storage may be dead here.
 ///
@@ -19,13 +19,6 @@ use crate::dataflow::{self, Analysis, Results};
 /// locals start dead at the function entry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaybeStorageDead;
-
-impl MaybeStorageDead {
-    /// Solves the analysis for `body`.
-    pub fn solve(body: &Body) -> Results<MaybeStorageDead> {
-        dataflow::solve(MaybeStorageDead, body)
-    }
-}
 
 impl Analysis for MaybeStorageDead {
     type Domain = BitSet;
@@ -69,13 +62,6 @@ impl Analysis for MaybeStorageDead {
 /// set, or dropping a value in this set, is suspicious.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaybeInvalid;
-
-impl MaybeInvalid {
-    /// Solves the analysis for `body`.
-    pub fn solve(body: &Body) -> Results<MaybeInvalid> {
-        dataflow::solve(MaybeInvalid, body)
-    }
-}
 
 fn invalidate_moves(state: &mut BitSet, op: &Operand) {
     if let Operand::Move(place) = op {
@@ -162,13 +148,6 @@ impl Analysis for MaybeInvalid {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MaybeFreed;
 
-impl MaybeFreed {
-    /// Solves the analysis for `body`.
-    pub fn solve(body: &Body) -> Results<MaybeFreed> {
-        dataflow::solve(MaybeFreed, body)
-    }
-}
-
 impl Analysis for MaybeFreed {
     type Domain = BitSet;
 
@@ -227,9 +206,63 @@ impl Analysis for MaybeFreed {
     }
 }
 
+/// Forward *may* analysis: bit set ⇒ the local may be uninitialized
+/// (never assigned since its storage began, or `mem::uninitialized`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MaybeUninit;
+
+impl Analysis for MaybeUninit {
+    type Domain = BitSet;
+
+    fn bottom(&self, body: &Body) -> BitSet {
+        BitSet::new(body.locals.len())
+    }
+
+    fn initialize(&self, body: &Body, state: &mut BitSet) {
+        for l in body.local_indices() {
+            if !body.is_arg(l) {
+                state.insert(l.index());
+            }
+        }
+    }
+
+    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
+        into.union_with(from)
+    }
+
+    fn apply_statement(&self, state: &mut BitSet, stmt: &Statement, _loc: Location) {
+        match &stmt.kind {
+            StatementKind::Assign(place, _) if place.is_local() => {
+                state.remove(place.local.index());
+            }
+            StatementKind::StorageLive(l) => {
+                // Fresh storage: contents are garbage again.
+                state.insert(l.index());
+            }
+            _ => {}
+        }
+    }
+
+    fn apply_terminator(&self, state: &mut BitSet, term: &Terminator, _loc: Location) {
+        if let TerminatorKind::Call {
+            func, destination, ..
+        } = &term.kind
+        {
+            if destination.is_local() {
+                if matches!(func, Callee::Intrinsic(Intrinsic::MemUninitialized)) {
+                    state.insert(destination.local.index());
+                } else {
+                    state.remove(destination.local.index());
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::solve;
     use rstudy_mir::build::BodyBuilder;
     use rstudy_mir::visit::Location;
     use rstudy_mir::{BasicBlock, Operand, Rvalue, Ty};
@@ -252,10 +285,10 @@ mod tests {
         b.nop(); // 4: after StorageDead
         b.ret();
         let body = b.finish();
-        let r = MaybeStorageDead::solve(&body);
-        assert!(r.state_before(&body, loc(0, 0)).contains(x.index()));
-        assert!(!r.state_before(&body, loc(0, 2)).contains(x.index()));
-        assert!(r.state_before(&body, loc(0, 4)).contains(x.index()));
+        let r = solve(MaybeStorageDead, &body);
+        assert!(r.cursor(&body).seek_before(loc(0, 0)).contains(x.index()));
+        assert!(!r.cursor(&body).seek_before(loc(0, 2)).contains(x.index()));
+        assert!(r.cursor(&body).seek_before(loc(0, 4)).contains(x.index()));
     }
 
     #[test]
@@ -265,8 +298,8 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = MaybeStorageDead::solve(&body);
-        assert!(!r.state_before(&body, loc(0, 0)).contains(a.index()));
+        let r = solve(MaybeStorageDead, &body);
+        assert!(!r.cursor(&body).seek_before(loc(0, 0)).contains(a.index()));
     }
 
     #[test]
@@ -281,10 +314,11 @@ mod tests {
         b.nop(); // 4
         b.ret();
         let body = b.finish();
-        let r = MaybeInvalid::solve(&body);
-        assert!(r.state_before(&body, loc(0, 2)).contains(x.index()));
-        assert!(!r.state_before(&body, loc(0, 3)).contains(x.index()));
-        let after_move = r.state_before(&body, loc(0, 4));
+        let r = solve(MaybeInvalid, &body);
+        assert!(r.cursor(&body).seek_before(loc(0, 2)).contains(x.index()));
+        assert!(!r.cursor(&body).seek_before(loc(0, 3)).contains(x.index()));
+        let mut cursor = r.cursor(&body);
+        let after_move = cursor.seek_before(loc(0, 4));
         assert!(after_move.contains(x.index()), "moved-out x is invalid");
         assert!(!after_move.contains(y.index()));
     }
@@ -299,8 +333,8 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = MaybeInvalid::solve(&body);
-        assert!(r.state_before(&body, loc(1, 0)).contains(x.index()));
+        let r = solve(MaybeInvalid, &body);
+        assert!(r.cursor(&body).seek_before(loc(1, 0)).contains(x.index()));
     }
 
     #[test]
@@ -315,8 +349,8 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = MaybeInvalid::solve(&body);
-        assert!(r.state_before(&body, loc(1, 0)).contains(g.index()));
+        let r = solve(MaybeInvalid, &body);
+        assert!(r.cursor(&body).seek_before(loc(1, 0)).contains(g.index()));
     }
 
     #[test]
@@ -330,9 +364,9 @@ mod tests {
         b.nop(); // 4: x freed
         b.ret();
         let body = b.finish();
-        let r = MaybeFreed::solve(&body);
-        assert!(!r.state_before(&body, loc(0, 1)).contains(x.index()));
-        assert!(r.state_before(&body, loc(0, 4)).contains(x.index()));
+        let r = solve(MaybeFreed, &body);
+        assert!(!r.cursor(&body).seek_before(loc(0, 1)).contains(x.index()));
+        assert!(r.cursor(&body).seek_before(loc(0, 4)).contains(x.index()));
     }
 
     #[test]
@@ -352,15 +386,11 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = MaybeInvalid::solve(&body);
-        assert!(r
-            .state_before(
-                &body,
-                Location {
-                    block: join,
-                    statement_index: 0
-                }
-            )
-            .contains(x.index()));
+        let r = solve(MaybeInvalid, &body);
+        let at_join = Location {
+            block: join,
+            statement_index: 0,
+        };
+        assert!(r.cursor(&body).seek_before(at_join).contains(x.index()));
     }
 }

@@ -6,7 +6,7 @@
 //! propagates integer constants, resolves pointers to array-typed objects,
 //! and reports accesses whose index is provably outside the array.
 
-use rstudy_analysis::const_prop::{ConstMap, ConstProp};
+use rstudy_analysis::const_prop::{eval_operand, ConstMap};
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{BinOp, Body, Local, ProjElem, Rvalue, Safety, StatementKind, Ty};
@@ -65,7 +65,8 @@ fn check_one_body(
     body: &Body,
     out: &mut Vec<Diagnostic>,
 ) {
-    let consts = ConstProp::solve(body);
+    let mut consts = cx.cache().const_prop(name).cursor(body);
+    let unreached = ConstMap::new();
     let points_to = cx.cache().points_to(name);
 
     // 1. Direct indexing of array-typed places: `arr[i]` / `arr[7]`.
@@ -79,7 +80,7 @@ fn check_one_body(
                 block: bb,
                 statement_index: i,
             };
-            let env = consts.state_before(body, location).unwrap_or_default();
+            let env = consts.seek_before(location).as_ref().unwrap_or(&unreached);
             let mut places: Vec<&rstudy_mir::Place> = vec![place];
             for op in rv.operands() {
                 if let Some(p) = op.place() {
@@ -95,7 +96,7 @@ fn check_one_body(
                     name,
                     body,
                     p,
-                    &env,
+                    env,
                     location,
                     stmt.source_info,
                     out,
@@ -122,10 +123,10 @@ fn check_one_body(
                 block: bb,
                 statement_index: i,
             };
-            let env = consts.state_before(body, location).unwrap_or_default();
+            let env = consts.seek_before(location).as_ref().unwrap_or(&unreached);
             let (Some(p), Some(k)) = (
                 base.place().filter(|p| p.is_local()).map(|p| p.local),
-                rstudy_analysis::const_prop::eval_operand(&env, amount),
+                eval_operand(env, amount),
             ) else {
                 continue;
             };

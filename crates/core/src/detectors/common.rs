@@ -1,12 +1,13 @@
-//! The one driver of the interprocedural summaries, and the per-function
+//! The one driver of the interprocedural summaries, the per-function
 //! dereference summaries shared by the detectors that reason about
-//! pointers passed across calls.
+//! pointers passed across calls, and the one data-dependence closure.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 
+use rstudy_analysis::bitset::BitSet;
 use rstudy_analysis::cache::AnalysisCache;
-use rstudy_mir::{Body, Callee, TerminatorKind};
+use rstudy_mir::{Body, Callee, Local, StatementKind, TerminatorKind};
 
 use crate::detectors::AnalysisContext;
 
@@ -100,6 +101,41 @@ impl DerefSummaries {
     pub fn derefs_arg(&self, function: &str, arg_pos: usize) -> bool {
         self.map.get(function).is_some_and(|s| s.contains(&arg_pos))
     }
+}
+
+/// The locals data-dependent on `seeds`, seeds included: the closure of
+/// every local assignment whose rvalue reads a dependent local, regardless
+/// of where in the body it sits. Each local's readers are indexed once and
+/// each reached local is visited once.
+pub(crate) fn data_dependents(body: &Body, seeds: impl IntoIterator<Item = Local>) -> BitSet {
+    let mut reached = BitSet::new(body.locals.len());
+    let mut todo: Vec<Local> = seeds.into_iter().collect();
+    todo.retain(|l| reached.insert(l.index()));
+    if todo.is_empty() {
+        return reached;
+    }
+    let mut readers: Vec<Vec<Local>> = vec![Vec::new(); body.locals.len()];
+    for stmt in body.blocks.iter().flat_map(|data| &data.statements) {
+        let StatementKind::Assign(place, rv) = &stmt.kind else {
+            continue;
+        };
+        if !place.is_local() {
+            continue;
+        }
+        for op in rv.operands() {
+            if let Some(p) = op.place().filter(|p| p.is_local()) {
+                readers[p.local.index()].push(place.local);
+            }
+        }
+    }
+    while let Some(l) = todo.pop() {
+        for &r in &readers[l.index()] {
+            if reached.insert(r.index()) {
+                todo.push(r);
+            }
+        }
+    }
+    reached
 }
 
 #[cfg(test)]

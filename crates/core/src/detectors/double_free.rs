@@ -93,7 +93,7 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let heap = cx.cache().heap_state(name);
+    let mut heap = cx.cache().heap_state(name).cursor(body);
 
     // 1. dealloc on memory that may already be freed.
     for bb in body.block_indices() {
@@ -118,7 +118,7 @@ fn check_one_body(
             else {
                 continue;
             };
-            let facts = heap.state_before(body, location);
+            let facts = heap.seek_before(location);
             let sites = heap_model.sites_of_pointer(&points_to, p.local);
             if sites.iter().any(|&s| facts.freed.contains(s)) {
                 out.push(

@@ -173,11 +173,11 @@ impl Detector for DoubleLock {
         let name = function;
         let info = &facts.per_fn[name];
         let pt = cx.cache().points_to(name);
-        let held = cx.cache().held_guards(name);
+        let mut held = cx.cache().held_guards(name).cursor(body);
 
         // Identity roots of every guard that may be held at `loc`.
-        let held_roots = |loc: Location| -> BTreeSet<(MemRoot, AcquireKind)> {
-            let state = held.state_before(body, loc);
+        let mut held_roots = |loc: Location| -> BTreeSet<(MemRoot, AcquireKind)> {
+            let state = held.seek_before(loc);
             let mut roots = BTreeSet::new();
             for (acq, acq_roots) in &info.acquisitions {
                 if state.contains(acq.guard.index()) {

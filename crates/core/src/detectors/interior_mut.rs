@@ -17,11 +17,10 @@ use std::collections::BTreeSet;
 
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
-use rstudy_mir::{
-    Body, Callee, Intrinsic, Local, Mutability, Operand, StatementKind, TerminatorKind, Ty,
-};
+use rstudy_mir::{Body, Callee, Intrinsic, Local, Mutability, Operand, TerminatorKind, Ty};
 
 use crate::config::DetectorConfig;
+use crate::detectors::common::data_dependents;
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
 
@@ -67,7 +66,7 @@ fn check_shared_self_mutation(
         return;
     }
     let pt = cx.cache().points_to(name);
-    let held = cx.cache().held_guards(name);
+    let mut held = cx.cache().held_guards(name).cursor(body);
     for site in cx.cache().deref_sites(name) {
         if !site.is_write {
             continue;
@@ -80,7 +79,7 @@ fn check_shared_self_mutation(
         let Some(arg) = through_shared else { continue };
         // A held guard means the write is under some lock; the paper's
         // pattern is the *unsynchronized* one.
-        if !held.state_before(body, site.location).is_empty() {
+        if !held.seek_before(site.location).is_empty() {
             continue;
         }
         out.push(
@@ -100,34 +99,6 @@ fn check_shared_self_mutation(
             .with_cause_safety(site.source_info.safety),
         );
     }
-}
-
-/// Locals transitively data-dependent on `seed` (one pass per block order,
-/// iterated to fixpoint; fine for the small bodies we analyze).
-fn tainted_from(body: &Body, seed: Local) -> BTreeSet<Local> {
-    let mut taint = BTreeSet::from([seed]);
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bb in body.block_indices() {
-            for stmt in &body.block(bb).statements {
-                if let StatementKind::Assign(place, rv) = &stmt.kind {
-                    if !place.is_local() {
-                        continue;
-                    }
-                    let uses_taint = rv.operands().iter().any(|op| {
-                        op.place()
-                            .filter(|p| p.is_local())
-                            .is_some_and(|p| taint.contains(&p.local))
-                    });
-                    if uses_taint && taint.insert(place.local) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
-    taint
 }
 
 fn check_atomic_check_then_act(
@@ -187,7 +158,7 @@ fn check_atomic_check_then_act(
     // A branch on a load-derived value, with a later store to the same
     // atomic: the classic lost-update window.
     for (dest, load_roots, _load_loc) in &loads {
-        let taint = tainted_from(body, *dest);
+        let taint = data_dependents(body, [*dest]);
         let branches_on_load = body.block_indices().any(|bb| {
             matches!(
                 body.block(bb).terminator.as_ref().map(|t| &t.kind),
@@ -195,7 +166,7 @@ fn check_atomic_check_then_act(
                     if discr
                         .place()
                         .filter(|p| p.is_local())
-                        .is_some_and(|p| taint.contains(&p.local))
+                        .is_some_and(|p| taint.contains(p.local.index()))
             )
         });
         if !branches_on_load {

@@ -57,7 +57,7 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let heap = cx.cache().heap_state(name);
+    let mut heap = cx.cache().heap_state(name).cursor(body);
 
     // 1. `*f = value` into never-written heap memory, where the pointee type
     //    has drop glue (Fig. 6).
@@ -88,7 +88,7 @@ fn check_one_body(
             if sites.is_empty() {
                 continue;
             }
-            let facts = heap.state_before(body, location);
+            let facts = heap.seek_before(location);
             if sites.iter().any(|&s| !facts.written.contains(s)) {
                 out.push(
                     Diagnostic::new(
@@ -111,8 +111,8 @@ fn check_one_body(
     }
 
     // 2. Dropping a local that was never initialized.
-    let invalid = cx.cache().maybe_invalid(name);
-    let freed = cx.cache().maybe_freed(name);
+    let mut invalid = cx.cache().maybe_invalid(name).cursor(body);
+    let mut freed = cx.cache().maybe_freed(name).cursor(body);
     for bb in body.block_indices() {
         let data = body.block(bb);
         let Some(term) = &data.terminator else {
@@ -132,8 +132,8 @@ fn check_one_body(
             block: bb,
             statement_index: data.statements.len(),
         };
-        let inv = invalid.state_before(body, location);
-        let fr = freed.state_before(body, location);
+        let inv = invalid.seek_before(location);
+        let fr = freed.seek_before(location);
         // Invalid but not freed ⇒ never initialized on some path.
         if inv.contains(l.index()) && !fr.contains(l.index()) {
             out.push(

@@ -57,10 +57,10 @@ pub(crate) fn order_step(
 ) -> bool {
     let info = &facts.per_fn[function];
     let pt = cx.cache().points_to(function);
-    let held = cx.cache().held_guards(function);
+    let mut held = cx.cache().held_guards(function).cursor(body);
 
-    let held_roots = |loc: Location| -> BTreeSet<MemRoot> {
-        let state = held.state_before(body, loc);
+    let mut held_roots = |loc: Location| -> BTreeSet<MemRoot> {
+        let state = held.seek_before(loc);
         let mut roots = BTreeSet::new();
         for (acq, acq_roots) in &info.acquisitions {
             if state.contains(acq.guard.index()) {

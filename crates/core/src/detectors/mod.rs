@@ -3,7 +3,9 @@
 //! Each detector implements [`Detector`]: per-body checks
 //! ([`Detector::check_body`]) plus whole-program checks
 //! ([`Detector::check_global`]), both reading shared analysis facts from an
-//! [`AnalysisContext`]. Run them all with [`crate::suite::DetectorSuite`]
+//! [`AnalysisContext`]. A walk over a body's sites reads each cached
+//! dataflow result through one cursor, in location order, so it walks each
+//! block once. Run them all with [`crate::suite::DetectorSuite`]
 //! (which runs every detector over one program inline, and many programs
 //! at once through `check_programs`), or individually via the provided
 //! [`Detector::check_program`].

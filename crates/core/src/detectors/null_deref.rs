@@ -3,81 +3,16 @@
 //! Every null-dereference bug in the study dereferences, in unsafe code, a
 //! pointer that was produced as null in safe code (often
 //! `ptr::null_mut()` kept past a `match`, as in the RustSec bug of Fig. 7's
-//! sibling). We track "may be null" as a forward dataflow fact seeded by
-//! constant-zero pointer assignments and report dereferences of maybe-null
+//! sibling). The cache's [`MaybeNull`](rstudy_analysis::deref::MaybeNull)
+//! tracks "may be null" as a forward dataflow fact seeded by constant-zero
+//! pointer assignments, and the detector reports dereferences of maybe-null
 //! pointers.
 
-use rstudy_analysis::bitset::BitSet;
-use rstudy_analysis::dataflow::{self, Analysis};
-use rstudy_mir::visit::Location;
-use rstudy_mir::{
-    Body, Const, Operand, Rvalue, Statement, StatementKind, Terminator, TerminatorKind,
-};
+use rstudy_mir::Body;
 
 use crate::config::DetectorConfig;
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
-
-/// Forward *may* analysis: bit set ⇒ the pointer local may be null.
-#[derive(Debug, Clone, Copy, Default)]
-struct MaybeNull;
-
-fn is_null_rvalue(rv: &Rvalue) -> bool {
-    matches!(
-        rv,
-        Rvalue::Use(Operand::Const(Const::Int(0))) | Rvalue::Cast(Operand::Const(Const::Int(0)), _)
-    )
-}
-
-impl Analysis for MaybeNull {
-    type Domain = BitSet;
-
-    fn bottom(&self, body: &Body) -> BitSet {
-        BitSet::new(body.locals.len())
-    }
-
-    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
-        into.union_with(from)
-    }
-
-    fn apply_statement(&self, state: &mut BitSet, stmt: &Statement, _loc: Location) {
-        if let StatementKind::Assign(place, rv) = &stmt.kind {
-            if place.is_local() {
-                let ptr_typed = true; // nullness only matters at deref sites
-                if ptr_typed && is_null_rvalue(rv) {
-                    state.insert(place.local.index());
-                } else {
-                    // Copy propagates nullness; everything else clears it.
-                    match rv {
-                        Rvalue::Use(op) | Rvalue::Cast(op, _) => {
-                            let from_null = op
-                                .place()
-                                .filter(|p| p.is_local())
-                                .map(|p| state.contains(p.local.index()))
-                                .unwrap_or(false);
-                            if from_null {
-                                state.insert(place.local.index());
-                            } else {
-                                state.remove(place.local.index());
-                            }
-                        }
-                        _ => {
-                            state.remove(place.local.index());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_terminator(&self, state: &mut BitSet, term: &Terminator, _loc: Location) {
-        if let TerminatorKind::Call { destination, .. } = &term.kind {
-            if destination.is_local() {
-                state.remove(destination.local.index());
-            }
-        }
-    }
-}
 
 /// The null-dereference detector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,13 +31,15 @@ impl Detector for NullDeref {
         _config: &DetectorConfig,
     ) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let nullness = dataflow::solve(MaybeNull, body);
+        let mut nullness = cx.cache().maybe_null(function).cursor(body);
         for site in cx.cache().deref_sites(function) {
             if !body.local_decl(site.pointer).ty.is_raw_ptr() {
                 continue;
             }
-            let state = nullness.state_before(body, site.location);
-            if state.contains(site.pointer.index()) {
+            if nullness
+                .seek_before(site.location)
+                .contains(site.pointer.index())
+            {
                 out.push(
                     Diagnostic::new(
                         self.name(),
@@ -126,7 +63,7 @@ impl Detector for NullDeref {
 mod tests {
     use super::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Mutability, Place, Program, Ty};
+    use rstudy_mir::{Mutability, Operand, Place, Program, Rvalue, Ty};
 
     fn run(program: &Program) -> Vec<Diagnostic> {
         NullDeref.check_program(program, &DetectorConfig::new())

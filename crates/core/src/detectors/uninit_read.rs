@@ -9,67 +9,12 @@
 //! 2. reads of locals that were never assigned (including those "assigned"
 //!    by `mem::uninitialized()`).
 
-use rstudy_analysis::bitset::BitSet;
-use rstudy_analysis::dataflow::{self, Analysis};
 use rstudy_mir::visit::Location;
-use rstudy_mir::{Body, Callee, Intrinsic, Statement, StatementKind, Terminator, TerminatorKind};
+use rstudy_mir::{Body, Callee, Intrinsic, StatementKind, TerminatorKind};
 
 use crate::config::DetectorConfig;
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
-
-/// Forward *may* analysis: bit set ⇒ the local may be uninitialized
-/// (never assigned since its storage began, or `mem::uninitialized`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaybeUninit;
-
-impl Analysis for MaybeUninit {
-    type Domain = BitSet;
-
-    fn bottom(&self, body: &Body) -> BitSet {
-        BitSet::new(body.locals.len())
-    }
-
-    fn initialize(&self, body: &Body, state: &mut BitSet) {
-        for l in body.local_indices() {
-            if !body.is_arg(l) {
-                state.insert(l.index());
-            }
-        }
-    }
-
-    fn join(&self, into: &mut BitSet, from: &BitSet) -> bool {
-        into.union_with(from)
-    }
-
-    fn apply_statement(&self, state: &mut BitSet, stmt: &Statement, _loc: Location) {
-        match &stmt.kind {
-            StatementKind::Assign(place, _) if place.is_local() => {
-                state.remove(place.local.index());
-            }
-            StatementKind::StorageLive(l) => {
-                // Fresh storage: contents are garbage again.
-                state.insert(l.index());
-            }
-            _ => {}
-        }
-    }
-
-    fn apply_terminator(&self, state: &mut BitSet, term: &Terminator, _loc: Location) {
-        if let TerminatorKind::Call {
-            func, destination, ..
-        } = &term.kind
-        {
-            if destination.is_local() {
-                if matches!(func, Callee::Intrinsic(Intrinsic::MemUninitialized)) {
-                    state.insert(destination.local.index());
-                } else {
-                    state.remove(destination.local.index());
-                }
-            }
-        }
-    }
-}
 
 /// The uninitialized-read detector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -102,8 +47,8 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let heap = cx.cache().heap_state(name);
-    let uninit = dataflow::solve(MaybeUninit, body);
+    let mut heap = cx.cache().heap_state(name).cursor(body);
+    let mut uninit = cx.cache().maybe_uninit(name).cursor(body);
 
     // 1. Reads through pointers into never-written heap allocations.
     for site in cx.cache().deref_sites(name) {
@@ -120,7 +65,7 @@ fn check_one_body(
         if sites.is_empty() {
             continue;
         }
-        let facts = heap.state_before(body, site.location);
+        let facts = heap.seek_before(site.location);
         if sites
             .iter()
             .any(|&s| !facts.written.contains(s) && !facts.freed.contains(s))
@@ -157,7 +102,7 @@ fn check_one_body(
                 block: bb,
                 statement_index: i,
             };
-            let state = uninit.state_before(body, location);
+            let state = uninit.seek_before(location);
             for op in rv.operands() {
                 let Some(p) = op.place().filter(|p| p.is_local()) else {
                     continue;

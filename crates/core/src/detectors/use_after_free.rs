@@ -15,9 +15,12 @@
 
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
-use rstudy_mir::{Body, Callee, Intrinsic, Local, Safety, StatementKind, TerminatorKind, Ty};
+use rstudy_mir::{
+    BasicBlockData, Body, Callee, Intrinsic, Local, Safety, StatementKind, TerminatorKind,
+};
 
 use crate::config::{DetectorConfig, InterprocMode};
+use crate::detectors::common::data_dependents;
 use crate::detectors::{AnalysisContext, Detector};
 use crate::diagnostics::{BugClass, Diagnostic, Severity};
 
@@ -93,10 +96,10 @@ fn check_one_body(
     let program = cx.program();
     let summaries = cx.summaries();
     let points_to = cx.cache().points_to(name);
-    let storage_dead = cx.cache().storage_dead(name);
-    let freed = cx.cache().maybe_freed(name);
+    let mut storage_dead = cx.cache().storage_dead(name).cursor(body);
+    let mut freed = cx.cache().maybe_freed(name).cursor(body);
     let heap_model = cx.cache().heap_model(name);
-    let heap = cx.cache().heap_state(name);
+    let mut heap = cx.cache().heap_state(name).cursor(body);
 
     // 1. Direct dereferences whose pointee may be dead.
     for site in cx.cache().deref_sites(name) {
@@ -104,9 +107,9 @@ fn check_one_body(
         if is_dealloc_site(body, site.location) {
             continue;
         }
-        let dead = storage_dead.state_before(body, site.location);
-        let freed_locals = freed.state_before(body, site.location);
-        let heap_facts = heap.state_before(body, site.location);
+        let dead = storage_dead.seek_before(site.location);
+        let freed_locals = freed.seek_before(site.location);
+        let heap_facts = heap.seek_before(site.location);
         for root in points_to.targets(site.pointer) {
             match root {
                 MemRoot::Local(l)
@@ -201,8 +204,8 @@ fn check_one_body(
             block: bb,
             statement_index: data.statements.len(),
         };
-        let dead = storage_dead.state_before(body, location);
-        let freed_locals = freed.state_before(body, location);
+        let dead = storage_dead.seek_before(location);
+        let freed_locals = freed.seek_before(location);
         for (i, arg) in args.iter().enumerate() {
             let Some(p) = arg.place().filter(|p| p.is_local()) else {
                 continue;
@@ -277,50 +280,23 @@ fn check_dangling_call_results(
     if dangling.is_empty() {
         return;
     }
-    // Locals holding a dangling result: call destinations plus the closure
-    // of direct copies/casts. (The returner itself is not special-cased —
-    // it has no calls to a dangling returner unless it is also a caller.)
-    let mut tainted: std::collections::BTreeSet<Local> = Default::default();
-    for bb in body.block_indices() {
-        if let Some(term) = &body.block(bb).terminator {
-            if let TerminatorKind::Call {
-                func: Callee::Fn(callee),
-                destination,
-                ..
-            } = &term.kind
-            {
-                if dangling.contains(callee) && destination.is_local() {
-                    tainted.insert(destination.local);
-                }
-            }
-        }
-    }
+    // Locals holding a dangling result: call destinations plus what they
+    // flow into. (The returner itself is not special-cased — it has no
+    // calls to a dangling returner unless it is also a caller.)
+    let dangling_result = |data: &BasicBlockData| match &data.terminator.as_ref()?.kind {
+        TerminatorKind::Call {
+            func: Callee::Fn(callee),
+            destination,
+            ..
+        } if dangling.contains(callee) && destination.is_local() => Some(destination.local),
+        _ => None,
+    };
+    let tainted = data_dependents(body, body.blocks.iter().filter_map(dangling_result));
     if tainted.is_empty() {
         return;
     }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bb in body.block_indices() {
-            for stmt in &body.block(bb).statements {
-                if let rstudy_mir::StatementKind::Assign(place, rv) = &stmt.kind {
-                    if !place.is_local() {
-                        continue;
-                    }
-                    let from_tainted = rv.operands().iter().any(|op| {
-                        op.place()
-                            .filter(|p| p.is_local())
-                            .is_some_and(|p| tainted.contains(&p.local))
-                    });
-                    if from_tainted && tainted.insert(place.local) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-    }
     for site in cx.cache().deref_sites(name) {
-        if tainted.contains(&site.pointer) {
+        if tainted.contains(site.pointer.index()) {
             out.push(
                 Diagnostic::new(
                     detector,
@@ -371,18 +347,11 @@ fn return_location(body: &Body) -> Option<Location> {
     None
 }
 
-/// Returns `true` if `ty` is a type whose value owns heap state (so UAF on
-/// it is meaningful even without an explicit pointer).
-#[allow(dead_code)]
-fn owns_resources(ty: &Ty) -> bool {
-    matches!(ty, Ty::Named(_) | Ty::Mutex(_) | Ty::Channel(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rstudy_mir::build::BodyBuilder;
-    use rstudy_mir::{Mutability, Operand, Place, Program, Rvalue};
+    use rstudy_mir::{Mutability, Operand, Place, Program, Rvalue, Ty};
 
     fn run(program: &Program) -> Vec<Diagnostic> {
         UseAfterFree.check_program(program, &DetectorConfig::new())

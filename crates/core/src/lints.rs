@@ -12,10 +12,12 @@
 //!   lists call sites of functions that mutate through a shared-reference
 //!   receiver, so a reviewer (or plug-in) can annotate them.
 
-use rstudy_analysis::locks::{lock_acquisitions, HeldGuards};
+use rstudy_analysis::cache::AnalysisCache;
+use rstudy_analysis::locks::lock_acquisitions;
+use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
-    Body, Callee, Intrinsic, Local, Mutability, Program, Span, StatementKind, TerminatorKind, Ty,
+    Body, Callee, Intrinsic, Local, Mutability, Span, StatementKind, TerminatorKind, Ty,
 };
 
 /// One critical section: where the lock is taken and where it is released.
@@ -117,10 +119,10 @@ pub struct BlockingInSection {
 /// acquisitions are the double-lock detector's job and are excluded)
 /// executed while a guard may be held — the shape of the §6.1 bug where a
 /// thread "holds a lock while waiting for data from a channel".
-pub fn blocking_in_critical_section(program: &Program) -> Vec<BlockingInSection> {
+pub fn blocking_in_critical_section(cache: &AnalysisCache<'_>) -> Vec<BlockingInSection> {
     let mut out = Vec::new();
-    for (name, body) in program.iter() {
-        let held = HeldGuards::solve(body);
+    for (name, body) in cache.program().iter() {
+        let mut held = cache.held_guards(name).cursor(body);
         for bb in body.block_indices() {
             let data = body.block(bb);
             let Some(term) = &data.terminator else {
@@ -144,7 +146,7 @@ pub fn blocking_in_critical_section(program: &Program) -> Vec<BlockingInSection>
                 block: bb,
                 statement_index: data.statements.len(),
             };
-            if !held.state_before(body, loc).is_empty() {
+            if !held.seek_before(loc).is_empty() {
                 out.push(BlockingInSection {
                     function: name.to_owned(),
                     location: loc,
@@ -171,10 +173,8 @@ pub struct InteriorMutCall {
 
 /// Finds call sites of interior-mutability functions: callees that write
 /// through memory reached from a shared-reference argument.
-pub fn interior_mutability_calls(program: &Program) -> Vec<InteriorMutCall> {
-    use rstudy_analysis::deref::deref_sites;
-    use rstudy_analysis::points_to::{MemRoot, PointsTo};
-
+pub fn interior_mutability_calls(cache: &AnalysisCache<'_>) -> Vec<InteriorMutCall> {
+    let program = cache.program();
     // Which functions mutate through a shared-ref arg?
     let mut mutators: Vec<String> = Vec::new();
     for (name, body) in program.iter() {
@@ -185,8 +185,8 @@ pub fn interior_mutability_calls(program: &Program) -> Vec<InteriorMutCall> {
         if shared.is_empty() {
             continue;
         }
-        let pt = PointsTo::analyze(body);
-        let mutates = deref_sites(body).into_iter().any(|site| {
+        let pt = cache.points_to(name);
+        let mutates = cache.deref_sites(name).iter().any(|site| {
             site.is_write
                 && shared
                     .iter()
@@ -279,7 +279,7 @@ fn main() -> int {
     #[test]
     fn recv_under_lock_is_flagged() {
         let program = parse_program(LOCKED_RECV).unwrap();
-        let hazards = blocking_in_critical_section(&program);
+        let hazards = blocking_in_critical_section(&AnalysisCache::new(&program));
         assert_eq!(hazards.len(), 1, "{hazards:?}");
         assert_eq!(hazards[0].operation, Intrinsic::ChannelRecv);
         assert_eq!(hazards[0].location.block.0, 3);
@@ -294,13 +294,13 @@ fn main() -> int {
                 "StorageDead(_3);\n        _0 = call channel::recv(_4) -> bb5;\n    }\n\n    bb5: {\n        return;",
             );
         let program = parse_program(&src).unwrap();
-        assert!(blocking_in_critical_section(&program).is_empty());
+        assert!(blocking_in_critical_section(&AnalysisCache::new(&program)).is_empty());
     }
 
     #[test]
     fn interior_mutability_callsites_are_listed() {
         let entry = rstudy_corpus_like_program();
-        let calls = interior_mutability_calls(&entry);
+        let calls = interior_mutability_calls(&AnalysisCache::new(&entry));
         assert_eq!(calls.len(), 1, "{calls:?}");
         assert_eq!(calls[0].callee, "set");
         assert_eq!(calls[0].caller, "main");

@@ -16,6 +16,7 @@ use std::io::{self, ErrorKind, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
+use rust_safety_study::analysis::cache::AnalysisCache;
 use rust_safety_study::core::config::DetectorConfig;
 use rust_safety_study::core::lints;
 use rust_safety_study::core::suite::DetectorSuite;
@@ -635,14 +636,15 @@ fn cmd_lint(args: &[String], out: &mut impl Write) -> io::Result<ExitCode> {
             )?;
         }
     }
-    for h in lints::blocking_in_critical_section(&program) {
+    let cache = AnalysisCache::new(&program);
+    for h in lints::blocking_in_critical_section(&cache) {
         writeln!(
             out,
             "{}: blocking `{}` at {} while a lock is held",
             h.function, h.operation, h.location
         )?;
     }
-    for c in lints::interior_mutability_calls(&program) {
+    for c in lints::interior_mutability_calls(&cache) {
         writeln!(
             out,
             "{}: call to interior-mutability function `{}` at {} — review its synchronization",

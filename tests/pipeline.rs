@@ -1,10 +1,8 @@
 //! Cross-crate pipeline tests: text → parse → validate → print → reparse,
 //! and analyses running end-to-end over every corpus program.
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::callgraph::CallGraph;
-use rstudy_analysis::locks::HeldGuards;
-use rstudy_analysis::points_to::PointsTo;
-use rstudy_analysis::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead};
 use rstudy_corpus::all_entries;
 use rstudy_mir::parse::parse_program;
 use rstudy_mir::pretty::program_to_string;
@@ -32,13 +30,18 @@ fn analyses_run_on_every_corpus_body() {
     // No analysis may panic or fail to converge on any corpus body.
     for entry in all_entries() {
         let program = entry.program();
-        let _graph = CallGraph::build(&program);
-        for body in program.bodies() {
-            let _ = MaybeStorageDead::solve(body);
-            let _ = MaybeInvalid::solve(body);
-            let _ = MaybeFreed::solve(body);
-            let _ = HeldGuards::solve(body);
-            let _ = PointsTo::analyze(body);
+        let cache = AnalysisCache::new(&program);
+        cache.call_graph();
+        for (name, _) in program.iter() {
+            cache.points_to(name);
+            cache.storage_dead(name);
+            cache.maybe_freed(name);
+            cache.maybe_invalid(name);
+            cache.held_guards(name);
+            cache.heap_state(name);
+            cache.const_prop(name);
+            cache.maybe_null(name);
+            cache.maybe_uninit(name);
         }
     }
 }

@@ -1,17 +1,17 @@
 //! Property-based tests across crates: parser/printer round trips on
-//! generated bodies, interpreter safety on generated safe programs, and
-//! true fixpoints of every shipped forward dataflow analysis on generated
-//! branchy, looping bodies.
+//! generated bodies, interpreter safety on generated safe programs, and,
+//! on generated branchy, looping bodies, true fixpoints of every shipped
+//! forward dataflow analysis and cursors that match a replay from each
+//! block's entry state in any seek order.
 
 use std::fmt::Debug;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::cfg::Cfg;
-use rstudy_analysis::const_prop::ConstProp;
 use rstudy_analysis::dataflow::{Analysis, Results};
-use rstudy_analysis::locks::HeldGuards;
-use rstudy_analysis::storage::{MaybeFreed, MaybeInvalid, MaybeStorageDead};
 use rstudy_interp::Interpreter;
 use rstudy_mir::build::BodyBuilder;
 use rstudy_mir::parse::parse_body;
@@ -239,6 +239,63 @@ fn branchy_body(edges: &[(u32, u32)], blocks: &[GenBlock]) -> Body {
     b.finish()
 }
 
+/// The state before `loc`, replayed from its block's entry state one
+/// statement at a time: the reference every cursor seek must match.
+fn replay_before<A: Analysis>(body: &Body, results: &Results<A>, loc: Location) -> A::Domain {
+    let mut state = results.boundary_state(loc.block).clone();
+    let statements = &body.block(loc.block).statements;
+    for (i, stmt) in statements.iter().enumerate().take(loc.statement_index) {
+        let at = Location {
+            block: loc.block,
+            statement_index: i,
+        };
+        results.analysis.apply_statement(&mut state, stmt, at);
+    }
+    state
+}
+
+/// Checks that one cursor seeking every location of `body` in body order,
+/// and another seeking them in an order shuffled by `seed`, both return
+/// the replayed state at each.
+fn assert_cursor_matches_replay<A: Analysis>(
+    body: &Body,
+    results: &Results<A>,
+    seed: u64,
+) -> Result<(), String>
+where
+    A::Domain: Debug,
+{
+    let in_order: Vec<Location> = body
+        .block_indices()
+        .flat_map(|block| {
+            let n = body.block(block).statements.len();
+            (0..=n).map(move |statement_index| Location {
+                block,
+                statement_index,
+            })
+        })
+        .collect();
+    let mut shuffled = in_order.clone();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, rng.gen_range(0..i + 1));
+    }
+    for order in [in_order, shuffled] {
+        let mut cursor = results.cursor(body);
+        for &loc in &order {
+            let expected = replay_before(body, results, loc);
+            prop_assert_eq!(
+                cursor.seek_before(loc),
+                &expected,
+                "at {:?} in {:?}",
+                loc,
+                order
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Checks that `first` is a true fixpoint of its analysis on `body`:
 /// solving again (`second`) gives the same boundaries, the entry boundary
 /// holds what `initialize` sets, and no reachable edge would change its
@@ -267,7 +324,7 @@ where
             block: bb,
             statement_index: data.statements.len(),
         };
-        let mut exit = first.state_before(body, at_terminator);
+        let mut exit = replay_before(body, first, at_terminator);
         if let Some(term) = &data.terminator {
             analysis.apply_terminator(&mut exit, term, at_terminator);
         }
@@ -294,15 +351,38 @@ proptest! {
         edges in proptest::collection::vec((0u32..8, 0u32..8), 1..16),
         blocks in proptest::collection::vec(block_strategy(), 8..9)
     ) {
-        let body = branchy_body(&edges, &blocks);
-        assert_fixpoint(&body, &MaybeStorageDead::solve(&body), &MaybeStorageDead::solve(&body))?;
-        assert_fixpoint(&body, &MaybeInvalid::solve(&body), &MaybeInvalid::solve(&body))?;
-        assert_fixpoint(&body, &MaybeFreed::solve(&body), &MaybeFreed::solve(&body))?;
-        assert_fixpoint(&body, &HeldGuards::solve(&body), &HeldGuards::solve(&body))?;
-        assert_fixpoint(&body, &ConstProp::solve(&body), &ConstProp::solve(&body))?;
-        let program = Program::from_bodies([body]);
+        let program = Program::from_bodies([branchy_body(&edges, &blocks)]);
         let body = program.function("f").expect("generated body");
-        let (first, second) = (AnalysisCache::new(&program), AnalysisCache::new(&program));
-        assert_fixpoint(body, first.heap_state("f"), second.heap_state("f"))?;
+        let (a, b) = (AnalysisCache::new(&program), AnalysisCache::new(&program));
+        assert_fixpoint(body, a.storage_dead("f"), b.storage_dead("f"))?;
+        assert_fixpoint(body, a.maybe_invalid("f"), b.maybe_invalid("f"))?;
+        assert_fixpoint(body, a.maybe_freed("f"), b.maybe_freed("f"))?;
+        assert_fixpoint(body, a.held_guards("f"), b.held_guards("f"))?;
+        assert_fixpoint(body, a.const_prop("f"), b.const_prop("f"))?;
+        assert_fixpoint(body, a.heap_state("f"), b.heap_state("f"))?;
+        assert_fixpoint(body, a.maybe_null("f"), b.maybe_null("f"))?;
+        assert_fixpoint(body, a.maybe_uninit("f"), b.maybe_uninit("f"))?;
+    }
+
+    /// On the same CFGs, a cursor over each of the eight cached analyses
+    /// returns the replayed state at every location, whether it seeks them
+    /// in body order or shuffled.
+    #[test]
+    fn cursors_match_a_replay_in_any_seek_order(
+        edges in proptest::collection::vec((0u32..8, 0u32..8), 1..16),
+        blocks in proptest::collection::vec(block_strategy(), 8..9),
+        seed in 0u64..u64::MAX
+    ) {
+        let program = Program::from_bodies([branchy_body(&edges, &blocks)]);
+        let body = program.function("f").expect("generated body");
+        let cache = AnalysisCache::new(&program);
+        assert_cursor_matches_replay(body, cache.storage_dead("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.maybe_invalid("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.maybe_freed("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.held_guards("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.const_prop("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.heap_state("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.maybe_null("f"), seed)?;
+        assert_cursor_matches_replay(body, cache.maybe_uninit("f"), seed)?;
     }
 }

@@ -1,21 +1,26 @@
 //! Scaling gates that count work, not time.
 //!
 //! The points-to solver reports the set insertions each solve attempted
-//! (`PointsTo::work`), and an `AnalysisContext` the function visits its
-//! interprocedural summaries made (`summary_visits`). Counts are exact and
-//! show growth at small sizes, so these gates run in a debug build without
-//! timing noise: a solver that goes quadratic on a chain reads ~16× from n
-//! to 4n instead of ~4×, and one that re-sends whole sets exceeds the bound
-//! on useful work.
+//! (`PointsTo::work`), an `AnalysisContext` the function visits its
+//! interprocedural summaries made (`summary_visits`), and each dataflow
+//! result the transfers its solve and its cursors applied
+//! (`Results::work`). Counts are exact and show growth at small sizes, so
+//! these gates run in a debug build without timing noise: a solver that
+//! goes quadratic on a chain reads ~16× from n to 4n instead of ~4×, and
+//! one that re-sends whole sets exceeds the bound on useful work.
 
 use std::collections::BTreeSet;
 
 use rust_safety_study::analysis::points_to::{MemRoot, PointsTo};
 use rust_safety_study::core::config::DetectorConfig;
-use rust_safety_study::core::detectors::{AnalysisContext, Detector, LockOrderInversion};
+use rust_safety_study::core::detectors::{
+    AnalysisContext, BlockingMisuse, BufferOverflow, Detector, DoubleFree, DoubleLock,
+    InteriorMutability, InvalidFree, LockOrderInversion, NullDeref, UninitRead, UseAfterFree,
+};
+use rust_safety_study::core::suite::DetectorSuite;
 use rust_safety_study::mir::build::BodyBuilder;
 use rust_safety_study::mir::{
-    Body, Intrinsic, Local, Mutability, Operand, Place, Program, Rvalue, Ty,
+    BinOp, Body, Intrinsic, Local, Mutability, Operand, Place, Program, Rvalue, Ty,
 };
 
 #[derive(Debug, Clone, Copy)]
@@ -273,4 +278,123 @@ fn summary_visits_on_a_ring_grow_linearly() {
         SIZES[0],
         SIZES[1]
     );
+}
+
+/// The per-body dataflow probes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DataflowShape {
+    /// One block that, for each of n locals, runs `StorageLive(x)`,
+    /// `x = const c`, `p = &raw const x` and `unsafe r = (*p)`.
+    StraightLine,
+    /// A loop whose body shifts n constants down one link per trip, so
+    /// constant propagation forgets one constant per solver pass.
+    LoopConstantChain,
+}
+
+/// Shapes whose dataflow work grows more than 5× from n to 4n. The gate
+/// asserts that each still does, so the list cannot go stale: the change
+/// that makes one linear removes it here, and none may be added.
+const KNOWN_SUPERLINEAR: [DataflowShape; 1] = [DataflowShape::LoopConstantChain];
+
+fn dataflow_probe(shape: DataflowShape, n: usize) -> Program {
+    let mut b = BodyBuilder::new("main", 0, Ty::Unit);
+    match shape {
+        DataflowShape::StraightLine => {
+            for i in 0..n {
+                let x = b.local(format!("x{i}"), Ty::Int);
+                let p = b.local(format!("p{i}"), Ty::const_ptr(Ty::Int));
+                let r = b.local(format!("r{i}"), Ty::Int);
+                b.storage_live(x);
+                b.assign(x, Rvalue::Use(Operand::int(i as i64)));
+                b.assign(p, Rvalue::AddrOf(Mutability::Not, x.into()));
+                let pointee = Operand::Copy(Place::from_local(p).deref());
+                b.in_unsafe(|b| b.assign(r, Rvalue::Use(pointee)));
+            }
+            b.ret();
+        }
+        DataflowShape::LoopConstantChain => {
+            let flag = b.local("flag", Ty::Int);
+            let chain: Vec<Local> = (0..n).map(|i| b.local(format!("c{i}"), Ty::Int)).collect();
+            for &l in std::iter::once(&flag).chain(&chain) {
+                b.assign(l, Rvalue::Use(Operand::int(0)));
+            }
+            let header = b.goto_cont();
+            let (body, exit) = (b.new_block(), b.new_block());
+            b.switch_int(Operand::copy(flag), vec![(0, exit)], body);
+            b.switch_to(body);
+            for pair in chain.windows(2) {
+                b.assign(pair[0], Rvalue::Use(Operand::copy(pair[1])));
+            }
+            let last = chain[n - 1];
+            let bump = Rvalue::BinaryOp(BinOp::Add, Operand::copy(last), Operand::int(1));
+            b.assign(last, bump);
+            b.goto(header);
+            b.switch_to(exit);
+            b.ret();
+        }
+    }
+    Program::from_bodies([b.finish()])
+}
+
+/// Runs all ten detectors on one context over `program`, then sums the
+/// work of every function's eight cached dataflow results.
+fn dataflow_work(program: &Program) -> u64 {
+    let detectors: [&dyn Detector; 10] = [
+        &UseAfterFree,
+        &DoubleFree,
+        &InvalidFree,
+        &UninitRead,
+        &NullDeref,
+        &BufferOverflow,
+        &DoubleLock,
+        &LockOrderInversion,
+        &BlockingMisuse,
+        &InteriorMutability,
+    ];
+    let mut names: Vec<&str> = detectors.iter().map(|d| d.name()).collect();
+    let mut all = DetectorSuite::all_detector_names();
+    names.sort_unstable();
+    all.sort_unstable();
+    assert_eq!(names, all, "the gate runs every detector");
+
+    let cx = AnalysisContext::new(program);
+    let config = DetectorConfig::new();
+    for d in detectors {
+        for (name, body) in program.iter() {
+            d.check_body(&cx, name, body, &config);
+        }
+        d.check_global(&cx, &config);
+    }
+    let cache = cx.cache();
+    program
+        .iter()
+        .map(|(f, _)| {
+            cache.storage_dead(f).work()
+                + cache.maybe_freed(f).work()
+                + cache.maybe_invalid(f).work()
+                + cache.held_guards(f).work()
+                + cache.heap_state(f).work()
+                + cache.const_prop(f).work()
+                + cache.maybe_null(f).work()
+                + cache.maybe_uninit(f).work()
+        })
+        .sum()
+}
+
+#[test]
+fn dataflow_work_grows_linearly_except_on_known_shapes() {
+    for shape in [
+        DataflowShape::StraightLine,
+        DataflowShape::LoopConstantChain,
+    ] {
+        let [small, large] = SIZES.map(|n| dataflow_work(&dataflow_probe(shape, n)));
+        let known = KNOWN_SUPERLINEAR.contains(&shape);
+        assert_eq!(
+            large > 5 * small,
+            known,
+            "{shape:?} (known superlinear: {known}): {small} transfers at n = {} but {large} at n = {}",
+            SIZES[0],
+            SIZES[1]
+        );
+    }
 }

@@ -9,8 +9,10 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use rust_safety_study::core::suite::DetectorSuite;
+use rust_safety_study::mir::parse::parse_program;
 use rust_safety_study::serve::{serve_stream, ServeConfig, Server, ServerHandle};
 use serde::Value;
 
@@ -260,61 +262,81 @@ fn timeout_answers_structured_response_and_server_keeps_serving() {
     join.join().unwrap();
 }
 
-/// A reverse-ordered chain of `links` raw-pointer copies, one per block,
-/// with the blocks laid out opposite to their execution order: the
-/// points-to solver then needs a pass per link, so analysis time grows
-/// with the square of `links`.
-fn reverse_pointer_chain(links: usize) -> String {
+/// One `main` that creates `k` mutexes, each in its own block, then locks
+/// each in its own block while every earlier guard is still held, and
+/// releases them all at the end: k(k − 1)/2 lock-order edges, so the cost
+/// of checking it grows with the square of `k`.
+fn nested_locks(k: usize) -> String {
     use std::fmt::Write as _;
-    let mut text = String::from("fn main() -> int {\n    let _1 as x: int;\n");
-    for k in 0..=links {
-        let _ = writeln!(text, "    let _{}: *const int;", k + 2);
+    let mut text = String::from("fn main() -> int {\n");
+    for i in 0..k {
+        let (m, r, g) = (3 * i + 1, 3 * i + 2, 3 * i + 3);
+        let _ = writeln!(text, "    let _{m}: Mutex<int>;");
+        let _ = writeln!(text, "    let _{r}: &Mutex<int>;");
+        let _ = writeln!(text, "    let _{g}: Guard<int>;");
     }
-    let r = links + 3;
-    let _ = writeln!(text, "    let _{r} as r: int;");
-    // Block 0 is the entry, link `i` sits in block `links - i`, and block
-    // `links + 1` is the exit.
-    let mut blocks = vec![Vec::new(); links + 2];
-    blocks[0] = vec![
-        "StorageLive(_1)".to_owned(),
-        "_1 = const 7".to_owned(),
-        "_2 = &raw const _1".to_owned(),
-        format!("goto -> bb{links}"),
-    ];
-    for i in 0..links {
-        let next = if i + 1 < links {
-            links - i - 1
-        } else {
-            links + 1
-        };
-        blocks[links - i] = vec![
-            format!("_{} = _{}", i + 3, i + 2),
-            format!("goto -> bb{next}"),
-        ];
-    }
-    blocks[links + 1] = vec![
-        format!("unsafe _{r} = (*_{})", links + 2),
-        format!("_0 = _{r}"),
-        "return".to_owned(),
-    ];
-    for (b, stmts) in blocks.iter().enumerate() {
-        let _ = writeln!(text, "\n    bb{b}: {{");
+    let block = |text: &mut String, bb: usize, stmts: &[String]| {
+        let _ = writeln!(text, "\n    bb{bb}: {{");
         for stmt in stmts {
             let _ = writeln!(text, "        {stmt};");
         }
         text.push_str("    }\n");
+    };
+    for i in 0..k {
+        let m = 3 * i + 1;
+        let new = format!("_{m} = call mutex::new(const 0) -> bb{}", i + 1);
+        block(&mut text, i, &[format!("StorageLive(_{m})"), new]);
     }
+    for i in 0..k {
+        let (m, r, g, bb) = (3 * i + 1, 3 * i + 2, 3 * i + 3, k + i);
+        let lock = format!("_{g} = call mutex::lock(_{r}) -> bb{}", bb + 1);
+        let stmts = [
+            format!("StorageLive(_{r})"),
+            format!("_{r} = &_{m}"),
+            format!("StorageLive(_{g})"),
+            lock,
+        ];
+        block(&mut text, bb, &stmts);
+    }
+    let mut release: Vec<String> = (0..k)
+        .rev()
+        .map(|i| format!("StorageDead(_{})", 3 * i + 3))
+        .collect();
+    release.push("return".to_owned());
+    block(&mut text, 2 * k, &release);
     text.push_str("}\n");
     text
 }
 
-/// Drives one check whose analysis outlives its 20 ms deadline through
-/// `round_trip` (either front end): it is answered `timeout` and counted
-/// once as such, and its late report is cached but never counted `ok`.
+/// A program whose in-process check takes at least ten times
+/// `deadline_ms`: [`nested_locks`], doubled until it does. A served check
+/// of it outlives that deadline in any build profile and however fast the
+/// analyses get.
+fn late_program(deadline_ms: u64) -> String {
+    let suite = DetectorSuite::new();
+    let mut k = 50;
+    loop {
+        let text = nested_locks(k);
+        let program = parse_program(&text).expect("the nested-lock program parses");
+        let start = Instant::now();
+        suite.check_program(&program);
+        if start.elapsed() >= Duration::from_millis(10 * deadline_ms) {
+            return text;
+        }
+        k *= 2;
+    }
+}
+
+/// The deadline the late-analysis tests give the server.
+const LATE_DEADLINE_MS: u64 = 20;
+
+/// Drives one check whose analysis outlives its [`LATE_DEADLINE_MS`]
+/// deadline through `round_trip` (either front end): it is answered
+/// `timeout` and counted once as such, and its late report is cached but
+/// never counted `ok`.
 fn late_analysis_counts_only_the_timeout(mut round_trip: impl FnMut(&str) -> Value) {
-    // 2,000 links take about a second unoptimized and 0.1 s optimized:
-    // far past the deadline either way.
-    let late = round_trip(&check_request("late", &reverse_pointer_chain(2000), ""));
+    let program = late_program(LATE_DEADLINE_MS);
+    let late = round_trip(&check_request("late", &program, ""));
     assert_eq!(status(&late), "timeout", "{late:?}");
     let mut stats = || {
         let reply = round_trip(r#"{"id":"s","cmd":"stats"}"#);
@@ -345,7 +367,7 @@ fn late_analysis_counts_only_the_timeout(mut round_trip: impl FnMut(&str) -> Val
 fn late_analysis_counts_only_the_timeout_over_tcp() {
     let (addr, handle, join) = boot(ServeConfig {
         workers: 1,
-        timeout_ms: Some(20),
+        timeout_ms: Some(LATE_DEADLINE_MS),
         ..ServeConfig::default()
     });
     let mut client = Client::connect(addr);
@@ -358,8 +380,16 @@ fn late_analysis_counts_only_the_timeout_over_tcp() {
 #[test]
 fn late_analysis_counts_only_the_timeout_over_stdin() {
     use std::process::Stdio;
+    let deadline = LATE_DEADLINE_MS.to_string();
     let mut child = Command::new(env!("CARGO_BIN_EXE_rust-safety-study"))
-        .args(["serve", "--stdin", "--timeout-ms", "20", "--workers", "1"])
+        .args([
+            "serve",
+            "--stdin",
+            "--timeout-ms",
+            &deadline,
+            "--workers",
+            "1",
+        ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
