@@ -51,9 +51,13 @@ echo "== traced benchmark slices =="
 # The benchmark is the only client that sends `"trace":true`. Its traced
 # run checks that the server's `total_ns` never exceeds the client's
 # latency and that the cache hits `timing.cache` reports are the repeats
-# it sent; it prints `"correct": false` on its last line otherwise.
+# it sent; it prints `"correct": false` on its last line otherwise. The
+# traced check-scale run (~2 s) checks the verdict of every program in
+# its seed-1 pool, every shape up to 2,000 statements, and that the
+# traced stages cover at least 0.95 of each check: a dataflow fact that
+# a detector wrongly never solves shows up here as a missed finding.
 CARGO_TARGET_DIR=.bench_build cargo build --release -q --manifest-path e2ebench/Cargo.toml
-for workload in serve-corpus serve-manifest; do
+for workload in serve-corpus serve-manifest check-scale; do
     LAST=$(.bench_build/release/e2ebench --server "$BIN" --workload "$workload" \
         --seed 1 --seconds 1 --trace 1 | tail -n 1)
     case "$LAST" in

@@ -4,10 +4,26 @@
 use std::fmt;
 
 /// A fixed-size set of small indices backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> BitSet {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Copies `source` into this set's words, reusing their allocation (the
+    /// derived `clone_from` would allocate a fresh copy).
+    fn clone_from(&mut self, source: &BitSet) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -125,9 +141,17 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over the present indices in ascending order.
+    /// Iterates over the present indices in ascending order, one word at a
+    /// time: the cost is the number of words plus the number of elements.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.capacity).filter(move |&i| self.contains(i))
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest.wrapping_sub(1);
+                (bit < 64).then_some(64 * w + bit)
+            })
+        })
     }
 }
 
@@ -198,6 +222,18 @@ mod tests {
     fn contains_out_of_range_is_false() {
         let s = BitSet::new(4);
         assert!(!s.contains(100));
+    }
+
+    #[test]
+    fn iter_walks_each_word_in_ascending_order() {
+        let members = [0, 1, 63, 64, 65, 127, 128, 191, 199];
+        let mut s = BitSet::new(200);
+        members.iter().for_each(|&i| assert!(s.insert(i)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), members);
+        let mut copy = BitSet::new(8);
+        copy.clone_from(&s);
+        assert_eq!(copy, s);
+        assert!(BitSet::new(130).iter().next().is_none());
     }
 
     #[test]

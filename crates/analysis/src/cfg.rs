@@ -1,18 +1,22 @@
 //! Control-flow-graph utilities: successor maps and the forward
-//! iteration order.
+//! iteration order, built once per body.
 
 use rstudy_mir::{BasicBlock, Body};
 
-/// Precomputed CFG edges for a body.
+/// Precomputed CFG edges for a body and its reverse post-order. The
+/// analysis cache builds one per body, and every dataflow solve of that
+/// body reuses it.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     succs: Vec<Vec<BasicBlock>>,
+    rpo: Vec<BasicBlock>,
 }
 
 impl Cfg {
-    /// Builds the successor map from a body's terminators.
+    /// Builds the successor map from a body's terminators, and the reverse
+    /// post-order over it.
     pub fn new(body: &Body) -> Cfg {
-        let succs = body
+        let succs: Vec<Vec<BasicBlock>> = body
             .block_indices()
             .map(|bb| {
                 body.block(bb)
@@ -21,7 +25,8 @@ impl Cfg {
                     .map_or_else(Vec::new, |term| term.kind.successors())
             })
             .collect();
-        Cfg { succs }
+        let rpo = reverse_postorder(&succs);
+        Cfg { succs, rpo }
     }
 
     /// Blocks `bb` jumps to.
@@ -31,34 +36,38 @@ impl Cfg {
 
     /// Reverse post-order over blocks reachable from the entry (the
     /// canonical forward-dataflow iteration order).
-    pub fn reverse_postorder(&self) -> Vec<BasicBlock> {
-        let n = self.succs.len();
-        let mut visited = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        if n == 0 {
-            return order;
-        }
-        // Iterative DFS carrying an explicit successor cursor; blocks are
-        // pushed in post-order, then reversed.
-        let mut stack: Vec<(BasicBlock, usize)> = vec![(BasicBlock::ENTRY, 0)];
-        visited[0] = true;
-        while let Some(&mut (bb, ref mut cursor)) = stack.last_mut() {
-            let succs = self.successors(bb);
-            if *cursor < succs.len() {
-                let next = succs[*cursor];
-                *cursor += 1;
-                if !visited[next.index()] {
-                    visited[next.index()] = true;
-                    stack.push((next, 0));
-                }
-            } else {
-                order.push(bb);
-                stack.pop();
-            }
-        }
-        order.reverse();
-        order
+    pub fn reverse_postorder(&self) -> &[BasicBlock] {
+        &self.rpo
     }
+}
+
+fn reverse_postorder(succs: &[Vec<BasicBlock>]) -> Vec<BasicBlock> {
+    let n = succs.len();
+    let mut visited = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    if n == 0 {
+        return order;
+    }
+    // Iterative DFS carrying an explicit successor cursor; blocks are
+    // pushed in post-order, then reversed.
+    let mut stack: Vec<(BasicBlock, usize)> = vec![(BasicBlock::ENTRY, 0)];
+    visited[0] = true;
+    while let Some(&mut (bb, ref mut cursor)) = stack.last_mut() {
+        let bb_succs = &succs[bb.index()];
+        if *cursor < bb_succs.len() {
+            let next = bb_succs[*cursor];
+            *cursor += 1;
+            if !visited[next.index()] {
+                visited[next.index()] = true;
+                stack.push((next, 0));
+            }
+        } else {
+            order.push(bb);
+            stack.pop();
+        }
+    }
+    order.reverse();
+    order
 }
 
 #[cfg(test)]
@@ -110,7 +119,7 @@ mod tests {
         b.ret();
         let body = b.finish();
         let cfg = Cfg::new(&body);
-        assert_eq!(cfg.reverse_postorder(), vec![BasicBlock(0)]);
+        assert_eq!(cfg.reverse_postorder(), [BasicBlock(0)]);
     }
 
     #[test]

@@ -143,12 +143,9 @@ mod tests {
 
     /// The constants known before `loc` of a reachable point.
     fn consts_before(body: &Body, loc: Location) -> ConstMap {
-        let results = crate::dataflow::solve(ConstProp, body);
-        results
-            .cursor(body)
-            .seek_before(loc)
-            .clone()
-            .expect("reachable")
+        let results = crate::dataflow::solve(ConstProp, body, &crate::cfg::Cfg::new(body));
+        let consts = results.cursor(body).seek_before(loc).clone();
+        consts.expect("reachable")
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! A generic forward dataflow engine.
 //!
 //! Analyses implement [`Analysis`]; [`solve`] iterates block transfer
-//! functions from the entry to a fixpoint and returns each block's entry
+//! functions from the entry to a fixpoint over a body's [`Cfg`], visiting
+//! only blocks whose entry state changed, and returns each block's entry
 //! state in a [`Results`]. A [`Cursor`] over those results recovers the
 //! state before any [`Location`]: it walks forward within a block and
 //! restarts from the block's entry state on any other seek, so visiting a
-//! body's sites in location order costs one transfer per statement.
+//! body's sites in location order costs one transfer per statement. A
+//! cursor made by [`Cursor::on_demand`] solves on its first seek, so a
+//! walk that finds no site solves nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,7 +19,9 @@ use crate::cfg::Cfg;
 
 /// A forward dataflow problem over a single body.
 pub trait Analysis {
-    /// The abstract state tracked per program point.
+    /// The abstract state tracked per program point. The solver and cursors
+    /// overwrite one scratch state with `clone_from`, so a domain that owns
+    /// buffers should reuse them there.
     type Domain: Clone + PartialEq;
 
     /// The least element (state assumed before anything is known).
@@ -58,12 +63,7 @@ impl<A: Analysis> Results<A> {
 
     /// A cursor over these results for `body`, the body they were solved on.
     pub fn cursor<'r>(&'r self, body: &'r Body) -> Cursor<'r, A> {
-        Cursor {
-            results: self,
-            body,
-            state: self.analysis.bottom(body),
-            at: None,
-        }
+        Cursor::on_demand(body, move || self)
     }
 
     /// The statement and terminator transfers made for these results: the
@@ -79,70 +79,117 @@ impl<A: Analysis> Results<A> {
 /// the order of seeks, and seeks in location order cost one transfer per
 /// statement.
 pub struct Cursor<'r, A: Analysis> {
-    results: &'r Results<A>,
+    /// The results, once the first seek has called `solve`.
+    results: Option<&'r Results<A>>,
+    solve: Option<Box<dyn FnOnce() -> &'r Results<A> + 'r>>,
     body: &'r Body,
-    state: A::Domain,
-    /// The location `state` is the state before, once a seek set it.
+    /// The state before `at`, once a seek set it.
+    state: Option<A::Domain>,
     at: Option<Location>,
 }
 
-impl<A: Analysis> Cursor<'_, A> {
+impl<'r, A: Analysis> Cursor<'r, A> {
+    /// A cursor over `body` whose results `solve` returns when the first
+    /// seek needs them; a cursor that never seeks never calls it.
+    pub fn on_demand(body: &'r Body, solve: impl FnOnce() -> &'r Results<A> + 'r) -> Cursor<'r, A> {
+        Cursor {
+            results: None,
+            solve: Some(Box::new(solve)),
+            body,
+            state: None,
+            at: None,
+        }
+    }
+
     /// The state *before* the instruction at `loc` executes.
     pub fn seek_before(&mut self, loc: Location) -> &A::Domain {
+        let results = match self.results {
+            Some(results) => results,
+            None => {
+                let solve = self
+                    .solve
+                    .take()
+                    .expect("an unsolved cursor keeps its solver");
+                *self.results.insert(solve())
+            }
+        };
         let from = match self.at {
             Some(at) if at.block == loc.block && at.statement_index <= loc.statement_index => {
                 at.statement_index
             }
             _ => {
-                self.state
-                    .clone_from(self.results.boundary_state(loc.block));
+                let entry = results.boundary_state(loc.block);
+                match &mut self.state {
+                    Some(state) => state.clone_from(entry),
+                    None => self.state = Some(entry.clone()),
+                }
                 0
             }
         };
+        let state = self
+            .state
+            .as_mut()
+            .expect("the state is set before the first walk");
         let applied = transfer(
-            &self.results.analysis,
+            &results.analysis,
             self.body,
             loc.block,
-            &mut self.state,
+            state,
             from,
             loc.statement_index,
         );
-        self.results.work.fetch_add(applied, Ordering::Relaxed);
+        results.work.fetch_add(applied, Ordering::Relaxed);
         self.at = Some(loc);
-        &self.state
+        state
     }
 }
 
-/// Runs `analysis` on `body` to a fixpoint.
-pub fn solve<A: Analysis>(analysis: A, body: &Body) -> Results<A> {
-    let cfg = Cfg::new(body);
+/// Runs `analysis` on `body`, whose control-flow graph is `cfg`, to its
+/// least fixpoint.
+///
+/// Blocks are visited round-robin in reverse post-order, but only those
+/// whose entry state changed since their last visit: every reachable block
+/// on the first pass, then only the successors a join changed. A block
+/// whose entry state is unchanged would produce the same exit state, and
+/// joining that again changes nothing, so skipping it reaches the fixpoint
+/// a visit to every block on every pass reaches.
+pub fn solve<A: Analysis>(analysis: A, body: &Body, cfg: &Cfg) -> Results<A> {
     let n = body.blocks.len();
     let mut boundary: Vec<A::Domain> = (0..n).map(|_| analysis.bottom(body)).collect();
     if n > 0 {
         analysis.initialize(body, &mut boundary[0]);
     }
     let order = cfg.reverse_postorder();
+    let mut dirty = vec![false; n];
+    for &bb in order {
+        dirty[bb.index()] = true;
+    }
+    let mut pending = order.len();
+    // One scratch state holds each visited block's exit state in turn.
+    let mut exit = analysis.bottom(body);
 
-    // Chaotic iteration in reverse post-order until no block changes.
     // Telemetry accumulates locally and flushes once per solve so the hot
     // loop never touches the registry lock.
-    let mut changed = true;
     let mut iterations = 0usize;
     let mut block_visits = 0u64;
     let mut joins_changed = 0u64;
     let mut work = 0u64;
-    while changed {
-        changed = false;
+    while pending > 0 {
         iterations += 1;
-        for &bb in &order {
-            // This block's exit state: its entry state through every transfer.
+        for &bb in order {
+            if !std::mem::take(&mut dirty[bb.index()]) {
+                continue;
+            }
+            pending -= 1;
             block_visits += 1;
-            let mut out = boundary[bb.index()].clone();
-            work += transfer(&analysis, body, bb, &mut out, 0, usize::MAX);
+            exit.clone_from(&boundary[bb.index()]);
+            work += transfer(&analysis, body, bb, &mut exit, 0, usize::MAX);
             for &next in cfg.successors(bb) {
-                if analysis.join(&mut boundary[next.index()], &out) {
-                    changed = true;
+                if analysis.join(&mut boundary[next.index()], &exit) {
                     joins_changed += 1;
+                    if !std::mem::replace(&mut dirty[next.index()], true) {
+                        pending += 1;
+                    }
                 }
             }
         }
@@ -240,7 +287,7 @@ mod tests {
         b.ret();
         let body = b.finish();
 
-        let results = solve(Assigned, &body);
+        let results = solve(Assigned, &body, &Cfg::new(&body));
         let at_join = results.boundary_state(rstudy_mir::BasicBlock(3));
         // May-analysis: both arms' facts are unioned.
         assert!(at_join.contains(x.index()));
@@ -258,7 +305,7 @@ mod tests {
         b.assign(y, Rvalue::Use(Operand::int(2)));
         b.ret();
         let body = b.finish();
-        let results = solve(Assigned, &body);
+        let results = solve(Assigned, &body, &Cfg::new(&body));
         // One pass over the block's two statements and its terminator.
         assert_eq!(results.work(), 3);
         let at = |statement_index| Location {
@@ -295,10 +342,38 @@ mod tests {
         b.switch_to(exit);
         b.ret();
         let body = b.finish();
-        let results = solve(Assigned, &body);
+        let results = solve(Assigned, &body, &Cfg::new(&body));
         // After one trip through the loop the fact reaches the header.
         assert!(results.boundary_state(header).contains(x.index()));
         assert!(results.boundary_state(exit).contains(x.index()));
+        // The first pass visits all four blocks (five transfers); the back
+        // edge then changes only the header, and the header the loop body
+        // and the exit (four more). A full pass per change would take 15.
+        assert_eq!(results.work(), 9);
+    }
+
+    #[test]
+    fn an_on_demand_cursor_solves_at_its_first_seek() {
+        let mut b = BodyBuilder::new("f", 0, Ty::Unit);
+        let x = b.local("x", Ty::Int);
+        b.assign(x, Rvalue::Use(Operand::int(1)));
+        b.ret();
+        let body = b.finish();
+        let cfg = Cfg::new(&body);
+        let slot = std::cell::OnceCell::new();
+        let solved = || slot.get_or_init(|| solve(Assigned, &body, &cfg));
+        drop(Cursor::on_demand(&body, solved));
+        assert!(
+            slot.get().is_none(),
+            "a cursor that never seeks solves nothing"
+        );
+        let mut cursor = Cursor::on_demand(&body, solved);
+        let after = Location {
+            block: rstudy_mir::BasicBlock(0),
+            statement_index: 1,
+        };
+        assert!(cursor.seek_before(after).contains(x.index()));
+        assert_eq!(slot.get().map(Results::work), Some(2 + 1));
     }
 
     #[test]
@@ -331,7 +406,7 @@ mod tests {
         b.ret();
         let body = b.finish();
 
-        let results = solve(ConstProp, &body);
+        let results = solve(ConstProp, &body, &Cfg::new(&body));
         let expected: ConstMap = [(flag, 0)].into_iter().collect();
         assert_eq!(results.boundary_state(header), &Some(expected));
     }

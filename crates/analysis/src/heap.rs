@@ -79,12 +79,27 @@ impl HeapModel {
 
 /// Per-point heap facts: allocation sites that may be freed and sites that
 /// may have been written (initialized).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct HeapFacts {
     /// Sites whose memory may already be deallocated.
     pub freed: BitSet,
     /// Sites whose memory may have been initialized by some write.
     pub written: BitSet,
+}
+
+impl Clone for HeapFacts {
+    fn clone(&self) -> HeapFacts {
+        HeapFacts {
+            freed: self.freed.clone(),
+            written: self.written.clone(),
+        }
+    }
+
+    /// Reuses both sets' words, as the dataflow solver and cursors do.
+    fn clone_from(&mut self, source: &HeapFacts) {
+        self.freed.clone_from(&source.freed);
+        self.written.clone_from(&source.written);
+    }
 }
 
 /// The dataflow problem computing [`HeapFacts`].
@@ -180,6 +195,7 @@ impl Analysis for HeapState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::Cfg;
     use crate::dataflow::{self, Results};
     use rstudy_mir::build::BodyBuilder;
     use rstudy_mir::{BasicBlock, Ty};
@@ -187,7 +203,11 @@ mod tests {
     fn solve(body: &Body) -> (Arc<HeapModel>, Results<HeapState>) {
         let model = Arc::new(HeapModel::collect(body));
         let pt = Arc::new(PointsTo::analyze(body));
-        let results = dataflow::solve(HeapState::new(Arc::clone(&model), pt), body);
+        let results = dataflow::solve(
+            HeapState::new(Arc::clone(&model), pt),
+            body,
+            &Cfg::new(body),
+        );
         (model, results)
     }
 

@@ -4,8 +4,10 @@
 //! are built on:
 //!
 //! * a generic forward worklist [`dataflow`] engine over the [`cfg`]'s
-//!   successors in reverse post-order, whose results a cursor reads at
-//!   each location by walking every block forward once,
+//!   successors in reverse post-order that revisits only blocks whose
+//!   entry state changed, whose results a cursor reads at each location by
+//!   walking every block forward once (and solves on its first seek when
+//!   made on demand),
 //! * [`storage`] (storage-liveness and maybe-invalid/maybe-freed/
 //!   maybe-uninit tracking — the facts rustc's `StorageLive`/`StorageDead`
 //!   markers expose and the paper's use-after-free detector consumes),
@@ -16,8 +18,9 @@
 //!   and [`deref`] sites with their maybe-null pointers,
 //! * [`callgraph`] over a whole [`rstudy_mir::Program`],
 //! * [`locks`] (lock-guard live ranges, the double-lock detector's input),
-//! * and the [`cache`] that computes each of those facts once per body;
-//!   it is the one place outside tests that solves a dataflow.
+//! * and the [`cache`] that computes each of those facts once per body,
+//!   on first use, over one CFG per body; it is the one place outside
+//!   tests that solves a dataflow.
 
 #![warn(missing_docs)]
 pub mod bitset;

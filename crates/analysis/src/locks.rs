@@ -125,7 +125,7 @@ impl Analysis for HeldGuards {
                         }
                     }
                 }
-                if place.is_local() && !rv.operands().iter().any(|o| o.is_move()) {
+                if place.is_local() && !rv.operands().any(Operand::is_move) {
                     state.remove(place.local.index());
                 }
             }
@@ -206,8 +206,9 @@ mod tests {
             block: rstudy_mir::BasicBlock(block),
             statement_index: i,
         };
-        let results = crate::dataflow::solve(HeldGuards, body);
-        results.cursor(body).seek_before(loc).clone()
+        let results = crate::dataflow::solve(HeldGuards, body, &crate::cfg::Cfg::new(body));
+        let held = results.cursor(body).seek_before(loc).clone();
+        held
     }
 
     /// Builds: m = mutex::new(0); r = &m; g = mutex::lock(r);

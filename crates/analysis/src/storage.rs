@@ -262,6 +262,7 @@ impl Analysis for MaybeUninit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg::Cfg;
     use crate::dataflow::solve;
     use rstudy_mir::build::BodyBuilder;
     use rstudy_mir::visit::Location;
@@ -285,7 +286,7 @@ mod tests {
         b.nop(); // 4: after StorageDead
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeStorageDead, &body);
+        let r = solve(MaybeStorageDead, &body, &Cfg::new(&body));
         assert!(r.cursor(&body).seek_before(loc(0, 0)).contains(x.index()));
         assert!(!r.cursor(&body).seek_before(loc(0, 2)).contains(x.index()));
         assert!(r.cursor(&body).seek_before(loc(0, 4)).contains(x.index()));
@@ -298,7 +299,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeStorageDead, &body);
+        let r = solve(MaybeStorageDead, &body, &Cfg::new(&body));
         assert!(!r.cursor(&body).seek_before(loc(0, 0)).contains(a.index()));
     }
 
@@ -314,7 +315,7 @@ mod tests {
         b.nop(); // 4
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeInvalid, &body);
+        let r = solve(MaybeInvalid, &body, &Cfg::new(&body));
         assert!(r.cursor(&body).seek_before(loc(0, 2)).contains(x.index()));
         assert!(!r.cursor(&body).seek_before(loc(0, 3)).contains(x.index()));
         let mut cursor = r.cursor(&body);
@@ -333,7 +334,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeInvalid, &body);
+        let r = solve(MaybeInvalid, &body, &Cfg::new(&body));
         assert!(r.cursor(&body).seek_before(loc(1, 0)).contains(x.index()));
     }
 
@@ -349,7 +350,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeInvalid, &body);
+        let r = solve(MaybeInvalid, &body, &Cfg::new(&body));
         assert!(r.cursor(&body).seek_before(loc(1, 0)).contains(g.index()));
     }
 
@@ -364,7 +365,7 @@ mod tests {
         b.nop(); // 4: x freed
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeFreed, &body);
+        let r = solve(MaybeFreed, &body, &Cfg::new(&body));
         assert!(!r.cursor(&body).seek_before(loc(0, 1)).contains(x.index()));
         assert!(r.cursor(&body).seek_before(loc(0, 4)).contains(x.index()));
     }
@@ -386,7 +387,7 @@ mod tests {
         b.nop();
         b.ret();
         let body = b.finish();
-        let r = solve(MaybeInvalid, &body);
+        let r = solve(MaybeInvalid, &body, &Cfg::new(&body));
         let at_join = Location {
             block: join,
             statement_index: 0,

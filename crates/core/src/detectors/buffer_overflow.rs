@@ -6,10 +6,13 @@
 //! propagates integer constants, resolves pointers to array-typed objects,
 //! and reports accesses whose index is provably outside the array.
 
+use std::collections::BTreeMap;
+
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::const_prop::{eval_operand, ConstMap};
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
-use rstudy_mir::{BinOp, Body, Local, ProjElem, Rvalue, Safety, StatementKind, Ty};
+use rstudy_mir::{BinOp, Body, Local, Operand, ProjElem, Rvalue, Safety, StatementKind, Ty};
 
 use crate::config::DetectorConfig;
 use crate::detectors::{AnalysisContext, Detector};
@@ -65,32 +68,36 @@ fn check_one_body(
     body: &Body,
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut consts = cx.cache().const_prop(name).cursor(body);
+    let mut consts = cx.cache().cursor(name, AnalysisCache::const_prop);
     let unreached = ConstMap::new();
     let points_to = cx.cache().points_to(name);
 
-    // 1. Direct indexing of array-typed places: `arr[i]` / `arr[7]`.
+    // 1. Direct indexing of array-typed places: `arr[i]` / `arr[7]`. Only
+    //    an assignment that indexes some place needs the constants.
     for bb in body.block_indices() {
         let data = body.block(bb);
         for (i, stmt) in data.statements.iter().enumerate() {
             let StatementKind::Assign(place, rv) = &stmt.kind else {
                 continue;
             };
+            let places = || {
+                let based = match rv {
+                    Rvalue::Ref(_, p) | Rvalue::AddrOf(_, p) | Rvalue::Len(p) => Some(p),
+                    _ => None,
+                };
+                std::iter::once(place)
+                    .chain(rv.operands().filter_map(Operand::place))
+                    .chain(based)
+            };
+            if !places().any(rstudy_mir::Place::has_index) {
+                continue;
+            }
             let location = Location {
                 block: bb,
                 statement_index: i,
             };
             let env = consts.seek_before(location).as_ref().unwrap_or(&unreached);
-            let mut places: Vec<&rstudy_mir::Place> = vec![place];
-            for op in rv.operands() {
-                if let Some(p) = op.place() {
-                    places.push(p);
-                }
-            }
-            if let Rvalue::Ref(_, p) | Rvalue::AddrOf(_, p) | Rvalue::Len(p) = rv {
-                places.push(p);
-            }
-            for p in places {
+            for p in places() {
                 check_place_indexing(
                     detector,
                     name,
@@ -106,8 +113,12 @@ fn check_one_body(
     }
 
     // 2. Pointer-offset arithmetic past the end of the pointee array:
-    //    `q = p offset k; ... *q`.
-    let mut offsets: Vec<(Local, Local, i64, Safety)> = Vec::new(); // (q, p, k, k's safety)
+    //    `q = p offset k; ... *q`. Offsets are grouped by their result `q`
+    //    in body order, so each dereference reads only its own pointer's.
+    // q -> [(p, k, k's local if it has one, the offset's safety)]. Where
+    // k's local was computed is looked up only for a finding, as in part 1.
+    type Offsets = BTreeMap<Local, Vec<(Local, i64, Option<Local>, Safety)>>;
+    let mut offsets = Offsets::new();
     for bb in body.block_indices() {
         let data = body.block(bb);
         for (i, stmt) in data.statements.iter().enumerate() {
@@ -123,26 +134,23 @@ fn check_one_body(
                 block: bb,
                 statement_index: i,
             };
-            let env = consts.seek_before(location).as_ref().unwrap_or(&unreached);
-            let (Some(p), Some(k)) = (
-                base.place().filter(|p| p.is_local()).map(|p| p.local),
-                eval_operand(env, amount),
-            ) else {
+            let Some(p) = base.place().filter(|p| p.is_local()).map(|p| p.local) else {
                 continue;
             };
-            let cause = amount
-                .place()
-                .filter(|p| p.is_local())
-                .map(|pl| index_def_safety(body, pl.local))
-                .unwrap_or(stmt.source_info.safety);
-            offsets.push((place.local, p, k, cause));
+            let env = consts.seek_before(location).as_ref().unwrap_or(&unreached);
+            let Some(k) = eval_operand(env, amount) else {
+                continue;
+            };
+            let amount = amount.place().filter(|p| p.is_local()).map(|p| p.local);
+            offsets
+                .entry(place.local)
+                .or_default()
+                .push((p, k, amount, stmt.source_info.safety));
         }
     }
     for site in cx.cache().deref_sites(name) {
-        for &(q, p, k, cause) in &offsets {
-            if site.pointer != q {
-                continue;
-            }
+        let q = site.pointer;
+        for &(p, k, amount, safety) in offsets.get(&q).into_iter().flatten() {
             for root in points_to.targets(p) {
                 let MemRoot::Local(l) = root else { continue };
                 let Some(len) = array_len(&body.local_decl(*l).ty) else {
@@ -163,7 +171,7 @@ fn check_one_body(
                                 q, p, k, k, l, len
                             ),
                         )
-                        .with_cause_safety(cause),
+                        .with_cause_safety(amount.map_or(safety, |a| index_def_safety(body, a))),
                     );
                 }
             }

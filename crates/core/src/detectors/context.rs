@@ -57,13 +57,17 @@ impl<'p> AnalysisContext<'p> {
     /// Interprocedural which-arguments-are-dereferenced summaries.
     pub fn summaries(&self) -> &DerefSummaries {
         self.cache
-            .memo(&self.summaries, || DerefSummaries::compute(self))
+            .memo("analysis.deref_summaries", &self.summaries, || {
+                DerefSummaries::compute(self)
+            })
     }
 
     /// Whole-program lock facts (acquisition sites, resolved identities).
     pub(crate) fn lock_facts(&self) -> &LockFacts {
         self.cache
-            .memo(&self.lock_facts, || LockFacts::compute(self))
+            .memo("analysis.lock_facts", &self.lock_facts, || {
+                LockFacts::compute(self)
+            })
     }
 
     /// Function visits the summary driver has made so far, over every
@@ -74,7 +78,7 @@ impl<'p> AnalysisContext<'p> {
 
     /// Functions whose return value may point into their own (dead) frame.
     pub fn dangling_returners(&self) -> &BTreeSet<String> {
-        self.cache.memo(&self.dangling_returners, || {
+        let find = || {
             let mut out = BTreeSet::new();
             for (name, body) in self.program().iter() {
                 if !body.local_decl(Local::RETURN).ty.is_pointer_like() {
@@ -90,7 +94,12 @@ impl<'p> AnalysisContext<'p> {
                 }
             }
             out
-        })
+        };
+        self.cache.memo(
+            "analysis.dangling_returners",
+            &self.dangling_returners,
+            find,
+        )
     }
 }
 

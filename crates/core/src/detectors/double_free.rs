@@ -8,6 +8,7 @@
 //!    ("unsafe → safe" in Table 2 — the unsafe read is the cause, the safe
 //!    implicit drops are the effect).
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Callee, Intrinsic, Local, Operand, SourceInfo, TerminatorKind};
@@ -93,7 +94,7 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let mut heap = cx.cache().heap_state(name).cursor(body);
+    let mut heap = cx.cache().cursor(name, AnalysisCache::heap_state);
 
     // 1. dealloc on memory that may already be freed.
     for bb in body.block_indices() {
@@ -118,8 +119,11 @@ fn check_one_body(
             else {
                 continue;
             };
-            let facts = heap.seek_before(location);
             let sites = heap_model.sites_of_pointer(&points_to, p.local);
+            if sites.is_empty() {
+                continue;
+            }
+            let facts = heap.seek_before(location);
             if sites.iter().any(|&s| facts.freed.contains(s)) {
                 out.push(
                     Diagnostic::new(

@@ -19,8 +19,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rstudy_analysis::locks::{AcquireKind, Acquisition};
+use rstudy_analysis::cache::AnalysisCache;
+use rstudy_analysis::dataflow::Cursor;
+use rstudy_analysis::locks::{AcquireKind, Acquisition, HeldGuards};
 use rstudy_analysis::points_to::{MemRoot, PointsTo};
+use rstudy_analysis::BitSet;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Callee, Const, Intrinsic, Local, Operand, TerminatorKind};
 
@@ -37,6 +40,29 @@ pub(crate) struct FnLockInfo {
     /// All (root, kind) pairs this function may acquire, directly or via
     /// callees, expressed in this function's own root space.
     pub acquired: BTreeSet<(MemRoot, AcquireKind)>,
+    /// Indices into `acquisitions`, by the index of their guard local.
+    by_guard: BTreeMap<usize, Vec<usize>>,
+}
+
+impl FnLockInfo {
+    /// The acquisitions whose guard may be held before `loc`, read from
+    /// `held`, this function's held-guards cursor. A function that acquires
+    /// nothing holds no guard, so it never seeks (and never solves); else
+    /// only the held state's members are visited, so a site costs the
+    /// guards held there, not every acquisition of the function.
+    pub fn held_at<'a>(
+        &'a self,
+        held: &'a mut Cursor<'_, HeldGuards>,
+        loc: Location,
+    ) -> impl Iterator<Item = &'a (Acquisition, BTreeSet<MemRoot>)> {
+        let state = (!self.acquisitions.is_empty()).then(|| held.seek_before(loc));
+        state
+            .into_iter()
+            .flat_map(BitSet::iter)
+            .filter_map(|guard| self.by_guard.get(&guard))
+            .flatten()
+            .map(|&i| &self.acquisitions[i])
+    }
 }
 
 /// Whole-program lock facts.
@@ -65,6 +91,11 @@ impl LockFacts {
                 let roots = acq.lock_ref.map(|r| pt.targets(r).clone());
                 let roots = roots.unwrap_or_default();
                 info.acquired.extend(roots.iter().map(|r| (*r, acq.kind)));
+                let index = info.acquisitions.len();
+                info.by_guard
+                    .entry(acq.guard.index())
+                    .or_default()
+                    .push(index);
                 info.acquisitions.push((acq.clone(), roots));
             }
             facts.per_fn.insert(name.to_owned(), info);
@@ -173,20 +204,13 @@ impl Detector for DoubleLock {
         let name = function;
         let info = &facts.per_fn[name];
         let pt = cx.cache().points_to(name);
-        let mut held = cx.cache().held_guards(name).cursor(body);
+        let mut held = cx.cache().cursor(name, AnalysisCache::held_guards);
 
         // Identity roots of every guard that may be held at `loc`.
         let mut held_roots = |loc: Location| -> BTreeSet<(MemRoot, AcquireKind)> {
-            let state = held.seek_before(loc);
-            let mut roots = BTreeSet::new();
-            for (acq, acq_roots) in &info.acquisitions {
-                if state.contains(acq.guard.index()) {
-                    for r in acq_roots {
-                        roots.insert((*r, acq.kind));
-                    }
-                }
-            }
-            roots
+            info.held_at(&mut held, loc)
+                .flat_map(|(acq, roots)| roots.iter().map(|r| (*r, acq.kind)))
+                .collect()
         };
 
         // 1. Intraprocedural: a second acquisition of a held lock.
@@ -243,6 +267,9 @@ impl Detector for DoubleLock {
                 continue;
             };
             let callee_acquires = resolve_roots(&callee_info.acquired, args, &pt);
+            if callee_acquires.is_empty() {
+                continue;
+            }
             let held_now = held_roots(loc);
             for (root, held_kind) in &held_now {
                 if matches!(root, MemRoot::Unknown) {

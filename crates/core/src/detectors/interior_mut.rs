@@ -15,6 +15,7 @@
 
 use std::collections::BTreeSet;
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Callee, Intrinsic, Local, Mutability, Operand, TerminatorKind, Ty};
@@ -66,7 +67,7 @@ fn check_shared_self_mutation(
         return;
     }
     let pt = cx.cache().points_to(name);
-    let mut held = cx.cache().held_guards(name).cursor(body);
+    let mut held = cx.cache().cursor(name, AnalysisCache::held_guards);
     for site in cx.cache().deref_sites(name) {
         if !site.is_write {
             continue;

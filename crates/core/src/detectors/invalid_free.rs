@@ -8,6 +8,7 @@
 //! reports plain deref-assignments of droppable values into uninitialized
 //! heap memory, and `Drop`s of locals that are still uninitialized.
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, StatementKind, TerminatorKind, Ty};
 
@@ -57,7 +58,7 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let mut heap = cx.cache().heap_state(name).cursor(body);
+    let mut heap = cx.cache().cursor(name, AnalysisCache::heap_state);
 
     // 1. `*f = value` into never-written heap memory, where the pointee type
     //    has drop glue (Fig. 6).
@@ -111,8 +112,8 @@ fn check_one_body(
     }
 
     // 2. Dropping a local that was never initialized.
-    let mut invalid = cx.cache().maybe_invalid(name).cursor(body);
-    let mut freed = cx.cache().maybe_freed(name).cursor(body);
+    let mut invalid = cx.cache().cursor(name, AnalysisCache::maybe_invalid);
+    let mut freed = cx.cache().cursor(name, AnalysisCache::maybe_freed);
     for bb in body.block_indices() {
         let data = body.block(bb);
         let Some(term) = &data.terminator else {
@@ -132,10 +133,10 @@ fn check_one_body(
             block: bb,
             statement_index: data.statements.len(),
         };
-        let inv = invalid.seek_before(location);
-        let fr = freed.seek_before(location);
         // Invalid but not freed ⇒ never initialized on some path.
-        if inv.contains(l.index()) && !fr.contains(l.index()) {
+        if invalid.seek_before(location).contains(l.index())
+            && !freed.seek_before(location).contains(l.index())
+        {
             out.push(
                 Diagnostic::new(
                     detector,

@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::points_to::{MemRoot, PointsTo};
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Operand};
@@ -57,17 +58,12 @@ pub(crate) fn order_step(
 ) -> bool {
     let info = &facts.per_fn[function];
     let pt = cx.cache().points_to(function);
-    let mut held = cx.cache().held_guards(function).cursor(body);
+    let mut held = cx.cache().cursor(function, AnalysisCache::held_guards);
 
     let mut held_roots = |loc: Location| -> BTreeSet<MemRoot> {
-        let state = held.seek_before(loc);
-        let mut roots = BTreeSet::new();
-        for (acq, acq_roots) in &info.acquisitions {
-            if state.contains(acq.guard.index()) {
-                roots.extend(acq_roots.iter().copied());
-            }
-        }
-        roots
+        info.held_at(&mut held, loc)
+            .flat_map(|(_, roots)| roots.iter().copied())
+            .collect()
     };
 
     let mut found: BTreeSet<(MemRoot, MemRoot, Location)> = BTreeSet::new();
@@ -98,6 +94,9 @@ pub(crate) fn order_step(
         }
         if let Some(callee_info) = facts.per_fn.get(callee) {
             let inner = resolve_roots(&callee_info.acquired, args, &pt);
+            if inner.is_empty() {
+                continue;
+            }
             for first in held_roots(loc) {
                 for (second, _k) in &inner {
                     if first != *second {

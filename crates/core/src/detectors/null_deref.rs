@@ -8,6 +8,7 @@
 //! pointer assignments, and the detector reports dereferences of maybe-null
 //! pointers.
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_mir::Body;
 
 use crate::config::DetectorConfig;
@@ -31,7 +32,7 @@ impl Detector for NullDeref {
         _config: &DetectorConfig,
     ) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let mut nullness = cx.cache().maybe_null(function).cursor(body);
+        let mut nullness = cx.cache().cursor(function, AnalysisCache::maybe_null);
         for site in cx.cache().deref_sites(function) {
             if !body.local_decl(site.pointer).ty.is_raw_ptr() {
                 continue;

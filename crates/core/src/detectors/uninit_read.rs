@@ -9,6 +9,7 @@
 //! 2. reads of locals that were never assigned (including those "assigned"
 //!    by `mem::uninitialized()`).
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{Body, Callee, Intrinsic, StatementKind, TerminatorKind};
 
@@ -47,8 +48,8 @@ fn check_one_body(
 ) {
     let points_to = cx.cache().points_to(name);
     let heap_model = cx.cache().heap_model(name);
-    let mut heap = cx.cache().heap_state(name).cursor(body);
-    let mut uninit = cx.cache().maybe_uninit(name).cursor(body);
+    let mut heap = cx.cache().cursor(name, AnalysisCache::heap_state);
+    let mut uninit = cx.cache().cursor(name, AnalysisCache::maybe_uninit);
 
     // 1. Reads through pointers into never-written heap allocations.
     for site in cx.cache().deref_sites(name) {
@@ -102,12 +103,11 @@ fn check_one_body(
                 block: bb,
                 statement_index: i,
             };
-            let state = uninit.seek_before(location);
             for op in rv.operands() {
                 let Some(p) = op.place().filter(|p| p.is_local()) else {
                     continue;
                 };
-                if state.contains(p.local.index()) {
+                if uninit.seek_before(location).contains(p.local.index()) {
                     out.push(
                         Diagnostic::new(
                             detector,

@@ -13,6 +13,7 @@
 //!   reports for its "current (unoptimized) way of performing
 //!   inter-procedural analysis" (3 FPs).
 
+use rstudy_analysis::cache::AnalysisCache;
 use rstudy_analysis::points_to::MemRoot;
 use rstudy_mir::visit::Location;
 use rstudy_mir::{
@@ -95,26 +96,27 @@ fn check_one_body(
 ) {
     let program = cx.program();
     let summaries = cx.summaries();
-    let points_to = cx.cache().points_to(name);
-    let mut storage_dead = cx.cache().storage_dead(name).cursor(body);
-    let mut freed = cx.cache().maybe_freed(name).cursor(body);
-    let heap_model = cx.cache().heap_model(name);
-    let mut heap = cx.cache().heap_state(name).cursor(body);
+    let cache = cx.cache();
+    let points_to = cache.points_to(name);
+    let heap_model = cache.heap_model(name);
+    let mut heap = cache.cursor(name, AnalysisCache::heap_state);
+    let mut storage_dead = cache.cursor(name, AnalysisCache::storage_dead);
+    let mut freed = cache.cursor(name, AnalysisCache::maybe_freed);
+    // Whether local `l`'s storage may be dead, or its value freed, at `loc`.
+    let mut ended = |loc: Location, l: &Local| {
+        storage_dead.seek_before(loc).contains(l.index())
+            || freed.seek_before(loc).contains(l.index())
+    };
 
     // 1. Direct dereferences whose pointee may be dead.
-    for site in cx.cache().deref_sites(name) {
+    for site in cache.deref_sites(name) {
         // The dealloc "deref" is double-free territory, not UAF.
         if is_dealloc_site(body, site.location) {
             continue;
         }
-        let dead = storage_dead.seek_before(site.location);
-        let freed_locals = freed.seek_before(site.location);
-        let heap_facts = heap.seek_before(site.location);
         for root in points_to.targets(site.pointer) {
             match root {
-                MemRoot::Local(l)
-                    if (dead.contains(l.index()) || freed_locals.contains(l.index())) =>
-                {
+                MemRoot::Local(l) if ended(site.location, l) => {
                     let mut d = Diagnostic::new(
                         detector,
                         BugClass::UseAfterFree,
@@ -136,6 +138,7 @@ fn check_one_body(
                 }
                 MemRoot::Heap(_) => {
                     let site_ids = heap_model.sites_of_pointer(&points_to, site.pointer);
+                    let heap_facts = heap.seek_before(site.location);
                     if site_ids.iter().any(|&i| heap_facts.freed.contains(i)) {
                         let mut d = Diagnostic::new(
                             detector,
@@ -204,8 +207,6 @@ fn check_one_body(
             block: bb,
             statement_index: data.statements.len(),
         };
-        let dead = storage_dead.seek_before(location);
-        let freed_locals = freed.seek_before(location);
         for (i, arg) in args.iter().enumerate() {
             let Some(p) = arg.place().filter(|p| p.is_local()) else {
                 continue;
@@ -225,10 +226,10 @@ fn check_one_body(
                 // those suppressions when the argument really is dangling.
                 if naive_would_flag
                     && config.interproc == InterprocMode::Precise
-                    && points_to.targets(p.local).iter().any(|root| {
-                        matches!(root, MemRoot::Local(l)
-                            if dead.contains(l.index()) || freed_locals.contains(l.index()))
-                    })
+                    && points_to
+                        .targets(p.local)
+                        .iter()
+                        .any(|root| matches!(root, MemRoot::Local(l) if ended(location, l)))
                 {
                     rstudy_telemetry::counter("detector.use-after-free.suppressions", 1);
                 }
@@ -236,7 +237,7 @@ fn check_one_body(
             }
             for root in points_to.targets(p.local) {
                 if let MemRoot::Local(l) = root {
-                    if dead.contains(l.index()) || freed_locals.contains(l.index()) {
+                    if ended(location, l) {
                         let severity = match config.interproc {
                             InterprocMode::Precise => Severity::Error,
                             InterprocMode::Naive => Severity::Warning,
@@ -307,7 +308,8 @@ fn check_dangling_call_results(
                     site.source_info.span,
                     site.source_info.safety,
                     format!(
-                        "pointer {} came from a callee that returns the address of its                          own local; its target died when the callee returned",
+                        "pointer {} came from a callee that returns the address of its \
+                         own local; its target died when the callee returned",
                         site.pointer
                     ),
                 )
@@ -440,6 +442,45 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.bug_class == BugClass::DanglingReturn));
+    }
+
+    #[test]
+    fn dangling_call_results_name_the_callee_frame() {
+        // `make` returns the address of its own local; `main` copies the
+        // result and dereferences the copy.
+        let mut make = BodyBuilder::new("make", 0, Ty::const_ptr(Ty::Int));
+        let x = make.local("x", Ty::Int);
+        make.storage_live(x);
+        make.assign(x, Rvalue::Use(Operand::int(1)));
+        make.assign(Place::RETURN, Rvalue::AddrOf(Mutability::Not, x.into()));
+        make.ret();
+
+        let mut main = BodyBuilder::new("main", 0, Ty::Int);
+        let p = main.local("p", Ty::const_ptr(Ty::Int));
+        let q = main.local("q", Ty::const_ptr(Ty::Int));
+        main.call_fn_cont("make", vec![], Place::from_local(p));
+        main.assign(q, Rvalue::Use(Operand::copy(p)));
+        main.in_unsafe(|b| {
+            b.assign(
+                Place::RETURN,
+                Rvalue::Use(Operand::copy(Place::from_local(q).deref())),
+            )
+        });
+        main.ret();
+        let program = Program::from_bodies([make.finish(), main.finish()]);
+        let diags = run(&program);
+        let in_main: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.function == "main")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            in_main,
+            [
+                "pointer _2 came from a callee that returns the address of its own local; \
+              its target died when the callee returned"
+            ]
+        );
     }
 
     fn dangling_call_program(callee_derefs: bool) -> Program {

@@ -122,7 +122,7 @@ pub struct BlockingInSection {
 pub fn blocking_in_critical_section(cache: &AnalysisCache<'_>) -> Vec<BlockingInSection> {
     let mut out = Vec::new();
     for (name, body) in cache.program().iter() {
-        let mut held = cache.held_guards(name).cursor(body);
+        let mut held = cache.cursor(name, AnalysisCache::held_guards);
         for bb in body.block_indices() {
             let data = body.block(bb);
             let Some(term) = &data.terminator else {

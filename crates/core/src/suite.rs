@@ -27,7 +27,7 @@ use crate::diagnostics::{BugClass, Diagnostic};
 /// program (new detector, changed precision, changed diagnostic text). The
 /// analysis service includes it in its result-cache key, so stale cached
 /// reports from an older suite are never replayed by a newer one.
-pub const SUITE_VERSION: u32 = 3;
+pub const SUITE_VERSION: u32 = 4;
 
 /// The aggregated findings of one suite run.
 ///

@@ -375,14 +375,15 @@ pub enum Rvalue {
 }
 
 impl Rvalue {
-    /// All operands read by this rvalue.
-    pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Rvalue::Use(op) | Rvalue::UnaryOp(_, op) | Rvalue::Cast(op, _) => vec![op],
-            Rvalue::BinaryOp(_, a, b) => vec![a, b],
-            Rvalue::Ref(..) | Rvalue::AddrOf(..) | Rvalue::Len(_) => vec![],
-            Rvalue::Aggregate(ops) => ops.iter().collect(),
-        }
+    /// All operands read by this rvalue, in order, without allocating.
+    pub fn operands(&self) -> impl Iterator<Item = &Operand> {
+        let (first, second, rest): (Option<&Operand>, Option<&Operand>, &[Operand]) = match self {
+            Rvalue::Use(op) | Rvalue::UnaryOp(_, op) | Rvalue::Cast(op, _) => (Some(op), None, &[]),
+            Rvalue::BinaryOp(_, a, b) => (Some(a), Some(b), &[]),
+            Rvalue::Ref(..) | Rvalue::AddrOf(..) | Rvalue::Len(_) => (None, None, &[]),
+            Rvalue::Aggregate(ops) => (None, None, ops),
+        };
+        first.into_iter().chain(second).chain(rest)
     }
 
     /// The place borrowed or addressed, if this rvalue creates a pointer.
@@ -740,10 +741,11 @@ mod tests {
     #[test]
     fn rvalue_operands_are_enumerated() {
         let rv = Rvalue::BinaryOp(BinOp::Mul, Operand::copy(Local(1)), Operand::copy(Local(2)));
-        assert_eq!(rv.operands().len(), 2);
+        let read: Vec<&Operand> = rv.operands().collect();
+        assert_eq!(read, [&Operand::copy(Local(1)), &Operand::copy(Local(2))]);
         let agg = Rvalue::Aggregate(vec![Operand::int(1), Operand::int(2), Operand::int(3)]);
-        assert_eq!(agg.operands().len(), 3);
-        assert!(Rvalue::Ref(Mutability::Not, place(1)).operands().is_empty());
+        assert_eq!(agg.operands().count(), 3);
+        assert_eq!(Rvalue::Ref(Mutability::Not, place(1)).operands().count(), 0);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based tests across crates: parser/printer round trips on
 //! generated bodies, interpreter safety on generated safe programs, and,
 //! on generated branchy, looping bodies, true fixpoints of every shipped
-//! forward dataflow analysis and cursors that match a replay from each
-//! block's entry state in any seek order.
+//! forward dataflow analysis, the same fixpoint as the full-pass solver
+//! the changed-block `solve` replaced, and cursors that match a replay
+//! from each block's entry state in any seek order.
 
 use std::fmt::Debug;
 
@@ -318,7 +319,7 @@ where
         "the entry boundary lacks the initial state"
     );
     let cfg = Cfg::new(body);
-    for bb in cfg.reverse_postorder() {
+    for &bb in cfg.reverse_postorder() {
         let data = body.block(bb);
         let at_terminator = Location {
             block: bb,
@@ -339,6 +340,74 @@ where
         }
     }
     Ok(())
+}
+
+/// The solver the changed-block `solve` replaced, kept as the fact oracle:
+/// every pass visits every reachable block in reverse post-order, cloning
+/// its entry state, until a whole pass changes no boundary.
+fn full_pass_boundaries<A: Analysis>(analysis: &A, body: &Body) -> Vec<A::Domain> {
+    let cfg = Cfg::new(body);
+    let mut boundary: Vec<A::Domain> = body.blocks.iter().map(|_| analysis.bottom(body)).collect();
+    if let Some(entry) = boundary.first_mut() {
+        analysis.initialize(body, entry);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &bb in cfg.reverse_postorder() {
+            let data = body.block(bb);
+            let at = |statement_index| Location {
+                block: bb,
+                statement_index,
+            };
+            let mut out = boundary[bb.index()].clone();
+            for (i, stmt) in data.statements.iter().enumerate() {
+                analysis.apply_statement(&mut out, stmt, at(i));
+            }
+            if let Some(term) = &data.terminator {
+                analysis.apply_terminator(&mut out, term, at(data.statements.len()));
+            }
+            for &next in cfg.successors(bb) {
+                changed |= analysis.join(&mut boundary[next.index()], &out);
+            }
+        }
+    }
+    boundary
+}
+
+/// Checks that `results` holds exactly the full-pass solver's boundaries.
+fn assert_full_pass_boundaries<A: Analysis>(body: &Body, results: &Results<A>) -> Result<(), String>
+where
+    A::Domain: Debug,
+{
+    let expected = full_pass_boundaries(&results.analysis, body);
+    prop_assert_eq!(&results.boundary, &expected);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On random 8-block CFGs with branches, loops and unreachable blocks,
+    /// the changed-block solver reaches the full-pass solver's fixpoint,
+    /// block for block, for each of the eight cached analyses.
+    #[test]
+    fn solve_matches_the_full_pass_solver(
+        edges in proptest::collection::vec((0u32..8, 0u32..8), 1..16),
+        blocks in proptest::collection::vec(block_strategy(), 8..9)
+    ) {
+        let program = Program::from_bodies([branchy_body(&edges, &blocks)]);
+        let body = program.function("f").expect("generated body");
+        let cache = AnalysisCache::new(&program);
+        assert_full_pass_boundaries(body, cache.storage_dead("f"))?;
+        assert_full_pass_boundaries(body, cache.maybe_invalid("f"))?;
+        assert_full_pass_boundaries(body, cache.maybe_freed("f"))?;
+        assert_full_pass_boundaries(body, cache.held_guards("f"))?;
+        assert_full_pass_boundaries(body, cache.const_prop("f"))?;
+        assert_full_pass_boundaries(body, cache.heap_state("f"))?;
+        assert_full_pass_boundaries(body, cache.maybe_null("f"))?;
+        assert_full_pass_boundaries(body, cache.maybe_uninit("f"))?;
+    }
 }
 
 proptest! {

@@ -336,9 +336,8 @@ fn dataflow_probe(shape: DataflowShape, n: usize) -> Program {
     Program::from_bodies([b.finish()])
 }
 
-/// Runs all ten detectors on one context over `program`, then sums the
-/// work of every function's eight cached dataflow results.
-fn dataflow_work(program: &Program) -> u64 {
+/// Runs all ten detectors on one context over `program`.
+fn run_all_detectors(program: &Program) -> AnalysisContext<'_> {
     let detectors: [&dyn Detector; 10] = [
         &UseAfterFree,
         &DoubleFree,
@@ -365,6 +364,14 @@ fn dataflow_work(program: &Program) -> u64 {
         }
         d.check_global(&cx, &config);
     }
+    cx
+}
+
+/// Runs all ten detectors on one context over `program`, then sums the
+/// work of every function's eight dataflow results (solving any that no
+/// detector sought).
+fn dataflow_work(program: &Program) -> u64 {
+    let cx = run_all_detectors(program);
     let cache = cx.cache();
     program
         .iter()
@@ -397,4 +404,57 @@ fn dataflow_work_grows_linearly_except_on_known_shapes() {
             SIZES[1]
         );
     }
+}
+
+/// The `check-scale` chain: `p0 = &raw const x` in the entry block, one
+/// `p(i+1) = p(i)` per block, and one `unsafe r = (*pn)` in the exit block.
+fn block_chain(links: usize) -> Program {
+    let mut b = BodyBuilder::new("main", 0, Ty::Int);
+    let x = b.local("x", Ty::Int);
+    let ptrs: Vec<Local> = (0..=links)
+        .map(|i| b.local(format!("p{i}"), Ty::const_ptr(Ty::Int)))
+        .collect();
+    let r = b.local("r", Ty::Int);
+    b.storage_live(x);
+    b.assign(x, Rvalue::Use(Operand::int(7)));
+    b.assign(ptrs[0], Rvalue::AddrOf(Mutability::Not, x.into()));
+    for pair in ptrs.windows(2) {
+        b.goto_cont();
+        b.assign(pair[1], Rvalue::Use(Operand::copy(pair[0])));
+    }
+    b.goto_cont();
+    let pointee = Operand::Copy(Place::from_local(ptrs[links]).deref());
+    b.in_unsafe(|b| b.assign(r, Rvalue::Use(pointee)));
+    b.assign(Place::RETURN, Rvalue::Use(Operand::copy(r)));
+    b.ret();
+    Program::from_bodies([b.finish()])
+}
+
+/// A detector solves a dataflow fact only when it seeks it at a site, so
+/// the cache's solve count is the number of facts some verdict read.
+#[test]
+fn detectors_solve_only_the_facts_they_seek() {
+    // No site: nothing reads a local, dereferences, indexes, locks or drops.
+    let mut b = BodyBuilder::new("main", 0, Ty::Int);
+    let x = b.local("x", Ty::Int);
+    b.storage_live(x);
+    b.assign(x, Rvalue::Use(Operand::int(1)));
+    b.assign(Place::RETURN, Rvalue::Use(Operand::int(2)));
+    b.storage_dead(x);
+    b.ret();
+    let program = Program::from_bodies([b.finish()]);
+    assert_eq!(run_all_detectors(&program).cache().solves(), 0);
+
+    // The chain's one dereference reads storage liveness and maybe-freed
+    // (use-after-free) and maybe-null (null-deref); its copies read
+    // maybe-uninit (uninit-read). Heap state, constants, guards and
+    // maybe-invalid are never sought.
+    let program = block_chain(250);
+    let cx = run_all_detectors(&program);
+    assert_eq!(cx.cache().solves(), 4);
+    assert_eq!(
+        DetectorSuite::new().check_program(&program).len(),
+        0,
+        "the chain is clean"
+    );
 }

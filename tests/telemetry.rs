@@ -164,6 +164,52 @@ fn profile_prints_the_span_tree() {
 }
 
 #[test]
+fn each_cached_fact_is_timed_under_the_detector_that_needs_it_first() {
+    let json_path =
+        std::env::temp_dir().join(format!("rstudy-fact-spans-{}.json", std::process::id()));
+    bin()
+        .args([
+            "check",
+            &mir_path("use_after_free.mir"),
+            "--metrics-json",
+            json_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let json = std::fs::read_to_string(&json_path).expect("metrics file written");
+    let _ = std::fs::remove_file(&json_path);
+    let snap: Snapshot = serde_json::from_str(&json).expect("metrics parse as a Snapshot");
+
+    // Use-after-free runs first and seeks storage liveness and maybe-freed
+    // at its dereference; invalid-free is the first to seek maybe-invalid.
+    for path in [
+        "suite/detector.use-after-free/analysis.points_to",
+        "suite/detector.use-after-free/analysis.storage_dead",
+        "suite/detector.use-after-free/analysis.maybe_freed",
+        "suite/detector.invalid-free/analysis.maybe_invalid",
+    ] {
+        let node = snap
+            .span_at(path)
+            .unwrap_or_else(|| panic!("missing span {path} in {json}"));
+        assert_eq!(node.count, 1, "{path} is computed once for one body");
+    }
+    // Each fact is computed once, so it is timed under one detector only,
+    // and a fact no detector seeks (constants: nothing is indexed) is never
+    // computed at all.
+    let facts: Vec<&str> = snap
+        .iter_spans()
+        .into_iter()
+        .map(|(_, node)| node.name.as_str())
+        .filter(|name| name.starts_with("analysis."))
+        .collect();
+    let mut distinct = facts.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(facts.len(), distinct.len(), "{facts:?}");
+    assert!(!facts.contains(&"analysis.const_prop"), "{facts:?}");
+}
+
+#[test]
 fn run_profile_reports_interpreter_metrics() {
     let out = bin()
         .args([
